@@ -29,7 +29,7 @@ from .errors import (
     HoferLabError,
     ScenarioValidationError,
 )
-from .flows import DEFAULT_STEPS, HessianPath, integrate
+from .flows import DEFAULT_STEPS, MIN_STEPS, HessianPath, integrate
 from .models import (
     Scenario,
     hofer_lengths,
@@ -55,14 +55,21 @@ class _ParseFailure(Exception):
     pass
 
 
+def _checked_steps(raw, source: str) -> int:
+    try:
+        steps = int(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise _ParseFailure(f"{source} must be an integer, got {raw!r}")
+    if steps < MIN_STEPS:
+        raise _ParseFailure(f"{source} must be at least {MIN_STEPS}, got {steps}")
+    return steps
+
+
 def _default_steps() -> int:
     raw = os.environ.get(STEPS_ENV_VAR)
     if raw is None:
         return DEFAULT_STEPS
-    try:
-        return int(raw)
-    except ValueError:
-        raise _ParseFailure(f"{STEPS_ENV_VAR} must be an integer, got {raw!r}")
+    return _checked_steps(raw, STEPS_ENV_VAR)
 
 
 def _load_document(path: str) -> tuple[dict, str]:
@@ -125,10 +132,10 @@ def _build_scenario(doc: dict) -> Scenario:
 
 def _doc_steps(doc: dict, override: int | None) -> int:
     if override is not None:
-        return int(override)
+        return _checked_steps(override, "--steps")
     solver = doc.get("solver", {})
     if isinstance(solver, dict) and "steps" in solver:
-        return int(solver["steps"])
+        return _checked_steps(solver["steps"], "solver.steps")
     return _default_steps()
 
 
@@ -167,21 +174,9 @@ def _cmd_verify(args) -> int:
     doc, digest = _load_document(args.scenario)
     steps = _doc_steps(doc, args.steps)
     scenario = _build_scenario(doc)
-    violations = validate_ustilovsky(scenario)
-    if violations:
-        for v in violations:
-            print(f"validation: {v}", file=sys.stderr)
-        return EXIT_VALIDATION
     start = time.perf_counter()
-    try:
-        report = verify_theorem(scenario, steps=steps)
-    except DegenerateEndpointError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_DEGENERATE
-    except ScenarioValidationError as exc:
-        for v in exc.violations:
-            print(f"validation: {v}", file=sys.stderr)
-        return EXIT_VALIDATION
+    # Validation and degenerate-endpoint errors map to exit codes in `main`.
+    report = verify_theorem(scenario, steps=steps)
     wall = time.perf_counter() - start
     payload = _report_document(scenario, report, digest, steps, wall)
     _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
@@ -205,7 +200,7 @@ def _sweep_values(args) -> list[float]:
         raise _ParseFailure("sweep count must be at least 2")
     values = np.linspace(args.minimum, args.maximum, args.count)
     if args.parameter == "steps":
-        return sorted({int(round(v)) for v in values})
+        return sorted({_checked_steps(round(v), "sweep steps") for v in values})
     return [float(v) for v in values]
 
 

@@ -22,7 +22,7 @@ from .errors import (
     EndpointCrossingError,
     IrregularCrossingError,
 )
-from .flows import HessianPath, SymplecticPath, evaluate
+from .flows import SymplecticPath, evaluate
 
 __all__ = [
     "Crossing",
@@ -103,7 +103,7 @@ def crossing_form(s_at_tau: np.ndarray, kernel_basis: np.ndarray) -> tuple[int, 
     return (p, q)
 
 
-def _crossing_at(path: SymplecticPath, generator: HessianPath, tau: float) -> Crossing | None:
+def _crossing_at(path: SymplecticPath, tau: float) -> Crossing | None:
     psi = evaluate(path, tau)
     diff = psi - np.eye(path.dim)
     u, s, vh = np.linalg.svd(diff)
@@ -113,7 +113,7 @@ def _crossing_at(path: SymplecticPath, generator: HessianPath, tau: float) -> Cr
     if mult == 0:
         return None
     basis = vh[mask].T
-    p, q = crossing_form(generator(tau), basis)
+    p, q = crossing_form(path.generator(tau), basis)
     return Crossing(time=float(tau), multiplicity=mult, kernel_basis=basis,
                     signature=(p, q), regular=(p + q == mult))
 
@@ -151,23 +151,12 @@ def _v_refine(path: SymplecticPath, tau: float, lo: float, hi: float) -> tuple[f
     return tau, val
 
 
-def _scan_closed(path: SymplecticPath, a: float, b: float,
-                 generator: HessianPath) -> list[Crossing]:
-    """All crossings with tau in [a, b] (up to endpoint tolerance), sorted."""
-    cache = getattr(path, "_scan_memo", None)
-    if cache is None:
-        cache = {}
-        path._scan_memo = cache
-    key = (float(a), float(b), id(generator))
-    if key in cache:
-        return cache[key]
-    result = _scan_closed_impl(path, a, b, generator)
-    cache[key] = result
-    return result
+def _scan_closed(path: SymplecticPath, a: float, b: float) -> list[Crossing]:
+    """All crossings with tau in [a, b] (up to endpoint tolerance), sorted.
 
-
-def _scan_closed_impl(path: SymplecticPath, a: float, b: float,
-                      generator: HessianPath) -> list[Crossing]:
+    The list always starts with the identity crossing when a is the path's
+    start time, and crossings closer than one grid step raise.
+    """
     h = path.grid_spacing
     inner = (path.times > a + 1e-14) & (path.times < b - 1e-14)
     ts = np.concatenate(([a], path.times[inner], [b]))
@@ -256,7 +245,7 @@ def _scan_closed_impl(path: SymplecticPath, a: float, b: float,
 
     crossings = []
     for tau, _val in merged:
-        c = _crossing_at(path, generator, tau)
+        c = _crossing_at(path, tau)
         if c is not None:
             crossings.append(c)
     for left, right in zip(crossings, crossings[1:]):
@@ -268,8 +257,8 @@ def _scan_closed_impl(path: SymplecticPath, a: float, b: float,
     return crossings
 
 
-def find_crossings(path: SymplecticPath, window: tuple[float, float] | None = None,
-                   generator: HessianPath | None = None) -> list[Crossing]:
+def find_crossings(path: SymplecticPath,
+                   window: tuple[float, float] | None = None) -> list[Crossing]:
     """Crossings of the path with the Maslov cycle in the half-open (a, b].
 
     Times are located to tolerance 1e-10.  A crossing within tolerance of b
@@ -280,13 +269,11 @@ def find_crossings(path: SymplecticPath, window: tuple[float, float] | None = No
     a, b = window if window is not None else (path.t_start, path.t_end)
     if not (path.t_start - 1e-12 <= a < b <= path.t_end + 1e-12):
         raise ValueError(f"window ({a}, {b}] outside path domain")
-    gen = generator if generator is not None else path.generator
-    crossings = _scan_closed(path, max(a, path.t_start), min(b, path.t_end), gen)
+    crossings = _scan_closed(path, max(a, path.t_start), min(b, path.t_end))
     return [c for c in crossings if c.time > a + ENDPOINT_TOL]
 
 
-def rs_index(path: SymplecticPath, generator: HessianPath | None = None,
-             interval: tuple[float, float] | None = None,
+def rs_index(path: SymplecticPath, interval: tuple[float, float] | None = None,
              policy: str = OPEN_OPEN) -> IndexValue:
     """Robbin-Salamon index of the path over an interval.
 
@@ -305,9 +292,13 @@ def rs_index(path: SymplecticPath, generator: HessianPath | None = None,
     a, b = interval if interval is not None else (path.t_start, path.t_end)
     if not (path.t_start - 1e-12 <= a < b <= path.t_end + 1e-12):
         raise ValueError(f"interval ({a}, {b}) outside path domain")
-    gen = generator if generator is not None else path.generator
-    crossings = _scan_closed(path, max(a, path.t_start), min(b, path.t_end), gen)
+    crossings = _scan_closed(path, max(a, path.t_start), min(b, path.t_end))
+    return _index_from_crossings(path, crossings, a, b, policy)
 
+
+def _index_from_crossings(path: SymplecticPath, crossings: list[Crossing],
+                          a: float, b: float, policy: str) -> IndexValue:
+    """`rs_index` over [a, b] from the closed-window scan of [a, b]."""
     at_a = [c for c in crossings if abs(c.time - a) <= ENDPOINT_TOL]
     at_b = [c for c in crossings if abs(c.time - b) <= ENDPOINT_TOL]
     interior = [c for c in crossings

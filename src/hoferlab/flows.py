@@ -38,6 +38,7 @@ POSITIVE_DEFINITE = "positive_definite"
 INDEFINITE = "indefinite"
 
 DEFAULT_STEPS = 2048
+MIN_STEPS = 8
 
 # Two-point Gauss-Legendre nodes on [0, 1].
 _GAUSS_OFFSETS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
@@ -268,7 +269,7 @@ class SymplecticPath:
     generator: HessianPath
     max_symplectic_residual: float = field(init=False)
     max_det_error: float = field(init=False)
-    _sigma_cache: np.ndarray = field(init=False, default=None, repr=False)
+    _sigma_nodes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not np.isfinite(self.matrices).all():
@@ -287,17 +288,16 @@ class SymplecticPath:
             )
         if self.max_det_error > _NODE_RESIDUAL_TOL:
             raise IntegrationError(f"determinant defect {self.max_det_error:.3e} exceeds 1e-9")
+        diff = self.matrices - np.eye(self.dim)
+        self._sigma_nodes = np.linalg.svd(diff, compute_uv=False)[:, -1]
 
     @property
     def grid_spacing(self) -> float:
         return (self.t_end - self.t_start) / (len(self.times) - 1)
 
     def sigma_min_nodes(self) -> np.ndarray:
-        """sigma_min(Psi(t_i) - I) at every node, cached."""
-        if self._sigma_cache is None:
-            diff = self.matrices - np.eye(self.dim)
-            self._sigma_cache = np.linalg.svd(diff, compute_uv=False)[:, -1]
-        return self._sigma_cache
+        """sigma_min(Psi(t_i) - I) at every node, computed at construction."""
+        return self._sigma_nodes
 
 
 def _magnus_exponent(generator: HessianPath, J: np.ndarray, t0: float, h: float) -> np.ndarray:
@@ -329,13 +329,13 @@ def integrate(generator: HessianPath, t_start: float = 0.0, t_end: float = 1.0,
     t_start, t_end : float
         Integration window, 0 <= t_start < t_end <= 1.
     steps : int
-        Uniform step count, at least 8.
+        Uniform step count, at least MIN_STEPS (8).
     """
     if not (0.0 <= t_start < t_end <= 1.0):
         raise ValueError(f"need 0 <= t_start < t_end <= 1, got [{t_start}, {t_end}]")
     steps = int(steps)
-    if steps < 8:
-        raise ValueError(f"steps must be >= 8, got {steps}")
+    if steps < MIN_STEPS:
+        raise ValueError(f"steps must be >= {MIN_STEPS}, got {steps}")
     d = generator.dim
     J = standard_structure(d // 2).J
     times = np.linspace(t_start, t_end, steps + 1)

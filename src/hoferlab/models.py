@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .flows import (
+    _DEFINITENESS_DELTA,
     NEGATIVE_DEFINITE,
     POSITIVE_DEFINITE,
     HessianPath,
@@ -32,7 +33,6 @@ __all__ = [
 ]
 
 _VALIDATION_GRID = 65
-_DEFINITENESS_DELTA = 1e-8
 _CERTIFICATE_TOL = 1e-8
 
 
@@ -58,13 +58,6 @@ class Scenario:
     min_value_curve: Callable[[float], float]
     normalization_certificate: NormalizationCertificate | None = None
     metadata: dict = field(default_factory=dict)
-
-
-def _gauss_legendre_01(f: Callable[[float], float], n: int = 64) -> float:
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    x = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
-    return float(sum(wi * f(xi) for wi, xi in zip(w, x)))
 
 
 def _sphere_certificate(profile: Callable[[float], float], shift: float,
@@ -224,8 +217,9 @@ def hofer_lengths(scenario: Scenario) -> dict:
         if not (math.isfinite(scenario.max_value_curve(t))
                 and math.isfinite(scenario.min_value_curve(t))):
             raise ValueError("value curves must be finite")
-    l_plus = _gauss_legendre_01(scenario.max_value_curve)
-    l_minus = -_gauss_legendre_01(scenario.min_value_curve)
+    # Gauss-Legendre on [-1, 1] mapped to [0, 1]; the Jacobian 0.5 is exact.
+    l_plus = 0.5 * _integrate_profile(lambda z: scenario.max_value_curve(0.5 * (z + 1.0)), 64)
+    l_minus = -0.5 * _integrate_profile(lambda z: scenario.min_value_curve(0.5 * (z + 1.0)), 64)
     return {"L": l_plus + l_minus, "L_plus": l_plus, "L_minus": l_minus}
 
 

@@ -15,15 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crossings import (
+    ENDPOINT_TOL,
     OPEN_OPEN,
     RS_HALVES,
     Crossing,
     IndexValue,
+    _index_from_crossings,
+    _scan_closed,
     find_crossings,
     rs_index,
 )
 from .errors import (
-    CrossingResolutionError,
     DegenerateEndpointError,
     IrregularCrossingError,
     ScenarioValidationError,
@@ -53,47 +55,40 @@ def check_nondegenerate(path: SymplecticPath) -> bool:
     return smin > DEGENERACY_RATIO * float(np.linalg.norm(psi, 2))
 
 
-def _first_crossing_time(path: SymplecticPath) -> float | None:
-    crossings = find_crossings(path, (path.t_start, path.t_end))
-    if not crossings:
-        return None
-    tau = crossings[0].time
-    if tau - path.t_start < path.grid_spacing:
-        raise CrossingResolutionError(
-            f"first crossing at t={tau:.3e} is below the grid resolution; refine steps"
-        )
-    return tau
+def _epsilon(crossings: list[Crossing]) -> float:
+    """Half the first crossing time in (0, 1], capped at 1/2."""
+    return 0.5 if not crossings else min(0.5 * crossings[0].time, 0.5)
 
 
 def admissible_epsilon(generator: HessianPath, steps: int = DEFAULT_STEPS) -> float:
     """Half the first crossing time of the flow in (0, 1], capped at 1/2.
 
     Any admissible value gives the same indices; this choice guarantees that
-    (0, epsilon] contains no crossing.
+    (0, epsilon] contains no crossing.  A first crossing within one grid
+    step of t = 0 raises CrossingResolutionError from the scan.
     """
     path = integrate(generator, 0.0, 1.0, steps)
-    tau = _first_crossing_time(path)
-    return 0.5 if tau is None else min(0.5 * tau, 0.5)
+    return _epsilon(find_crossings(path, (path.t_start, path.t_end)))
 
 
-def _morse_from_path(path: SymplecticPath) -> tuple[int, list[Crossing]]:
-    if not check_nondegenerate(path):
-        raise DegenerateEndpointError("degenerate at t=1: not a nondegenerate geodesic scenario")
-    crossings = find_crossings(path, (path.t_start, path.t_end))
+def _morse_count(crossings: list[Crossing], t_end: float) -> int:
+    """Multiplicity sum of the crossings in (0, 1) of a nondegenerate path."""
     for c in crossings:
-        if abs(c.time - path.t_end) <= 1e-6:
+        if abs(c.time - t_end) <= 1e-6:
             raise DegenerateEndpointError("degenerate at t=1: crossing at the endpoint")
         if not c.regular:
             raise IrregularCrossingError(
                 f"extremizer not Morse at time t={c.time:.6f}: singular crossing form"
             )
-    return sum(c.multiplicity for c in crossings), crossings
+    return sum(c.multiplicity for c in crossings)
 
 
 def morse_index(generator: HessianPath, steps: int = DEFAULT_STEPS) -> int:
     """Sum of conjugate-time multiplicities of the linearized flow in (0, 1)."""
-    index, _ = _morse_from_path(integrate(generator, 0.0, 1.0, steps))
-    return index
+    path = integrate(generator, 0.0, 1.0, steps)
+    if not check_nondegenerate(path):
+        raise DegenerateEndpointError("degenerate at t=1: not a nondegenerate geodesic scenario")
+    return _morse_count(find_crossings(path, (path.t_start, path.t_end)), path.t_end)
 
 
 @dataclass
@@ -178,23 +173,29 @@ def verify_theorem(scenario, steps: int | None = None, epsilon: float | None = N
         if not check_nondegenerate(p):
             raise DegenerateEndpointError(f"degenerate at t=1 ({side} side)")
 
-    morse_plus, crossings_max = _morse_from_path(path_max)
-    morse_minus, crossings_min = _morse_from_path(path_min)
+    # One closed scan of the max side feeds the Morse count, epsilon and
+    # CZ(1); CZ(eps) and the (eps, 1] window are scanned on their own, so
+    # the concatenation check compares independent scans.
+    closed_max = _scan_closed(path_max, 0.0, 1.0)
+    crossings_max = [c for c in closed_max if c.time > ENDPOINT_TOL]
+    morse_plus = _morse_count(crossings_max, path_max.t_end)
+    crossings_min = find_crossings(path_min, (0.0, 1.0))
+    morse_minus = _morse_count(crossings_min, path_min.t_end)
 
-    first_tau = crossings_max[0].time if crossings_max else None
     if epsilon is None:
-        eps = 0.5 if first_tau is None else min(0.5 * first_tau, 0.5)
+        eps = _epsilon(crossings_max)
     else:
         eps = float(epsilon)
         if not (0.0 < eps < 1.0):
             raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
+        first_tau = crossings_max[0].time if crossings_max else None
         if first_tau is not None and eps >= first_tau - 1e-9:
             raise ValueError(
                 f"epsilon {eps} is not admissible: first crossing at t={first_tau:.6f}"
             )
 
     cz_eps = rs_index(path_max, interval=(0.0, eps), policy=RS_HALVES)
-    cz_one = rs_index(path_max, interval=(0.0, 1.0), policy=RS_HALVES)
+    cz_one = _index_from_crossings(path_max, closed_max, 0.0, 1.0, RS_HALVES)
     cz_interval = rs_index(path_max, interval=(eps, 1.0), policy=OPEN_OPEN)
 
     diff_halves = cz_one.half_units - cz_eps.half_units

@@ -11,6 +11,7 @@ maximum) instead of trusting the derivation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,19 +43,24 @@ class StandardStructure:
     omega_matrix: np.ndarray
 
 
+@functools.lru_cache(maxsize=None)
 def standard_structure(n: int) -> StandardStructure:
     """Build the standard structure on R^{2n}.
 
     Coordinates are interleaved (q_1, p_1, ..., q_n, p_n), so J is the block
     diagonal of n copies of [[0, -1], [1, 0]] and direct sums of planar
     models are literal block diagonals.  The Gram matrix of omega is -J,
-    which normalizes omega(u, J u) to the Euclidean |u|^2.
+    which normalizes omega(u, J u) to the Euclidean |u|^2.  One instance per
+    n is shared by every caller, so its arrays are read-only.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     j2 = np.array([[0.0, -1.0], [1.0, 0.0]])
     J = np.kron(np.eye(n), j2)
-    return StandardStructure(dim=2 * n, J=J, omega_matrix=-J)
+    om = -J
+    J.flags.writeable = False
+    om.flags.writeable = False
+    return StandardStructure(dim=2 * n, J=J, omega_matrix=om)
 
 
 def _check_dim(structure: StandardStructure, *arrays: np.ndarray) -> None:

@@ -82,6 +82,17 @@ def test_verify_zero_lambda_rejected(tmp_path, capsys):
     assert "nonzero" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv_tail, solver", [
+    (["--steps", "4"], {"steps": 512}),
+    ([], {"steps": "many"}),
+    ([], {"steps": 4}),
+])
+def test_verify_bad_step_count_is_usage_error(tmp_path, capsys, argv_tail, solver):
+    scn = write_scenario(tmp_path, solver=solver)
+    assert main(["verify", str(scn), *argv_tail]) == EXIT_PARSE
+    assert "parse error" in capsys.readouterr().err
+
+
 def test_verify_writes_file(tmp_path):
     scn = write_scenario(tmp_path)
     out = tmp_path / "report.json"
@@ -189,6 +200,13 @@ def test_sweep_steps_discretization_independence(tmp_path, capsys):
             "cz_at_epsilon", "cz_at_1", "cz_interval", "theorem_lhs", "theorem_rhs"]
     for col in cols:
         assert len({row[col] for row in rows}) == 1, col
+
+
+def test_sweep_steps_below_minimum_is_usage_error(tmp_path, capsys):
+    scn = write_scenario(tmp_path)
+    assert main(["sweep", str(scn), "--parameter", "steps",
+                 "--min", "4", "--max", "64", "--count", "3"]) == EXIT_PARSE
+    assert "parse error" in capsys.readouterr().err
 
 
 def test_sweep_count_one_rejected(tmp_path, capsys):

@@ -21,7 +21,6 @@ from hoferlab import (
     planar_winding_index,
     rs_index,
 )
-from hoferlab.crossings import _scan_closed
 from hoferlab.errors import CrossingResolutionError
 from tests.oracles import (
     TWO_PI,
@@ -77,7 +76,16 @@ def test_resolution_guard_raises():
     # Fabricated near-coincident minima exercise the guard directly.
     path = integrate(direct_sum(constant_planar(7.0), constant_planar(6.9)), 0.0, 1.0, 64)
     with pytest.raises(CrossingResolutionError):
-        _scan_closed(path, 0.0, 1.0, path.generator)
+        find_crossings(path)
+
+
+def test_scans_leave_no_state_on_the_path():
+    # A path is a value: scanning it must not hang caches on the instance.
+    path = integrate(constant_planar(13.0), 0.0, 1.0, 512)
+    before = set(vars(path))
+    find_crossings(path, (0.0, 1.0))
+    rs_index(path, interval=(0.0, 1.0), policy="rs_halves")
+    assert set(vars(path)) == before
 
 
 def test_window_validation():

@@ -29,6 +29,14 @@ def test_standard_structure_n2_fourth_power(struct4):
     assert np.array_equal(j2 @ j2, np.eye(4))
 
 
+def test_standard_structure_is_shared_and_read_only(struct4):
+    assert standard_structure(2) is struct4
+    for arr in (struct4.J, struct4.omega_matrix):
+        with pytest.raises(ValueError):
+            arr[0, 1] = 5.0
+    assert struct4.J[0, 1] == -1.0
+
+
 def test_metric_positivity_unit_vector(struct2):
     u = np.array([1.0, 0.0])
     assert omega(struct2, u, struct2.J @ u) == 1.0
