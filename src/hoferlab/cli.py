@@ -211,8 +211,12 @@ def _sweep_row(doc: dict, parameter: str, value, steps_override) -> dict:
     if parameter == "lambda":
         if doc["model"] != "sphere_height":
             raise _ParseFailure("parameter 'lambda' is only sweepable for sphere_height")
-        scenario = sphere_height_scenario(float(value))
         steps = _doc_steps(doc, steps_override)
+        try:
+            scenario = sphere_height_scenario(float(value))
+        except ValueError:  # lambda = 0 has no extremal pair
+            row["status"] = "invalid"
+            return row
     elif parameter == "steps":
         scenario = _build_scenario(doc)
         steps = int(value)
@@ -335,9 +339,7 @@ def _cmd_plot(args) -> int:
     scenario = _build_scenario(doc)
     violations = validate_ustilovsky(scenario)
     if violations:
-        for v in violations:
-            print(f"validation: {v}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ScenarioValidationError(violations)
     _emit(_svg_plot(scenario, steps), args.output)
     return EXIT_OK
 

@@ -68,79 +68,56 @@ def _require_symmetric(m: np.ndarray, what: str) -> np.ndarray:
 class HessianPath:
     """Time-dependent symmetric generator S(t) on [0, 1].
 
-    Three kinds are supported:
+    A generator is a kind tag plus ``stack``, a read-only array of symmetric
+    coefficient matrices with shape (m, d, d):
 
-    * ``constant``: one symmetric matrix;
-    * ``fourier``: S0 + sum_k (A_k cos(2 pi k t) + B_k sin(2 pi k t));
-    * ``sampled``: a uniform time grid of symmetric matrices with cubic
-      interpolation, re-symmetrized after interpolation so noise cannot
+    * ``constant``: ``[S]``;
+    * ``fourier``: ``[S0, A_1..A_K, B_1..B_L]`` with ``n_cos = K``, for
+      S0 + sum_k A_k cos(2 pi k t) + sum_k B_k sin(2 pi k t);
+    * ``sampled``: the values at m >= 4 uniform knots on [0, 1], joined by a
+      cubic spline and re-symmetrized after interpolation so noise cannot
       break the symmetry invariant.
 
-    The definiteness tag is classified at construction on a time grid
-    (eigenvalues must clear +-1e-8 uniformly to count as definite).
+    Transforms map each matrix of the stack.  The evaluator and the
+    definiteness tag are built once at construction; the tag holds for every
+    t in [0, 1] (see `_certified_definiteness`), and a generator whose
+    definiteness cannot be certified is tagged indefinite.
     """
 
-    def __init__(self, dim, kind, evaluator, definiteness, payload):
-        self.dim = int(dim)
+    def __init__(self, kind: str, stack, n_cos: int = 0):
+        if kind not in _COMPILERS:
+            raise ValueError(f"unknown generator kind {kind!r}")
+        mats = [_require_symmetric(m, f"{kind} coefficient {i}") for i, m in enumerate(stack)]
+        if (kind == "constant" and len(mats) != 1) or len(mats) < (4 if kind == "sampled" else 1):
+            raise ValueError(f"{kind} generator has the wrong number of matrices")
+        if any(m.shape != mats[0].shape for m in mats):
+            raise ValueError(f"{kind} coefficient shape mismatch")
+        if not 0 <= n_cos < len(mats):
+            raise ValueError(f"cosine term count {n_cos} outside the stack")
         self.kind = kind
-        self._evaluator = evaluator
-        self.definiteness = definiteness
-        self.payload = payload
+        self.n_cos = int(n_cos)
+        self.stack = np.stack(mats)
+        self.stack.flags.writeable = False
+        self.dim = self.stack.shape[1]
+        if self.dim < 2 or self.dim % 2 != 0:
+            raise ValueError(f"phase-space dimension must be even and >= 2, got {self.dim}")
+        self._evaluator, samples, slack = _COMPILERS[kind](self.stack, self.n_cos)
+        self.definiteness = _certified_definiteness(samples, slack)
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def constant(cls, matrix) -> "HessianPath":
-        m = _require_symmetric(matrix, "constant generator")
-        cls._check_dim(m.shape[0])
-        path = cls(m.shape[0], "constant", lambda t, _m=m: _m, None, {"matrix": m})
-        path.definiteness = _classify(path)
-        return path
+        return cls("constant", [matrix])
 
     @classmethod
     def fourier(cls, s0, cos_terms=(), sin_terms=()) -> "HessianPath":
-        s0 = _require_symmetric(s0, "fourier mean term")
-        cls._check_dim(s0.shape[0])
-        cos_terms = [_require_symmetric(a, f"cosine coefficient {k + 1}") for k, a in enumerate(cos_terms)]
-        sin_terms = [_require_symmetric(b, f"sine coefficient {k + 1}") for k, b in enumerate(sin_terms)]
-        for m in (*cos_terms, *sin_terms):
-            if m.shape != s0.shape:
-                raise ValueError("fourier coefficient shape mismatch")
-
-        def evaluator(t, _s0=s0, _cos=cos_terms, _sin=sin_terms):
-            out = _s0.copy()
-            for k, a in enumerate(_cos, start=1):
-                out += math.cos(2.0 * math.pi * k * t) * a
-            for k, b in enumerate(_sin, start=1):
-                out += math.sin(2.0 * math.pi * k * t) * b
-            return out
-
-        path = cls(s0.shape[0], "fourier", evaluator, None,
-                   {"s0": s0, "cos": cos_terms, "sin": sin_terms})
-        path.definiteness = _classify(path)
-        return path
+        cos_terms = list(cos_terms)
+        return cls("fourier", [s0, *cos_terms, *sin_terms], n_cos=len(cos_terms))
 
     @classmethod
     def sampled(cls, values) -> "HessianPath":
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 3 or values.shape[0] < 4:
-            raise ValueError("sampled generator needs at least 4 matrices on a uniform grid")
-        values = np.stack([_require_symmetric(v, f"sample {i}") for i, v in enumerate(values)])
-        cls._check_dim(values.shape[1])
-        grid = np.linspace(0.0, 1.0, values.shape[0])
-        spline = CubicSpline(grid, values, axis=0)
-
-        def evaluator(t, _spline=spline):
-            return _symmetrize(np.asarray(_spline(t)))
-
-        path = cls(values.shape[1], "sampled", evaluator, None, {"values": values})
-        path.definiteness = _classify(path)
-        return path
-
-    @staticmethod
-    def _check_dim(d: int) -> None:
-        if d < 2 or d % 2 != 0:
-            raise ValueError(f"phase-space dimension must be even and >= 2, got {d}")
+        return cls("sampled", np.asarray(values, dtype=float))
 
     # -- evaluation and transforms --------------------------------------
 
@@ -149,46 +126,33 @@ class HessianPath:
             raise ValueError(f"time {t} outside the generator domain [0, 1]")
         return self._evaluator(min(max(t, 0.0), 1.0))
 
+    def _map(self, f) -> "HessianPath":
+        return HessianPath(self.kind, [f(m) for m in self.stack], self.n_cos)
+
     def negated(self) -> "HessianPath":
         """The generator -S(t), e.g. to treat a minimizer as a maximizer of -H."""
-        if self.kind == "constant":
-            return HessianPath.constant(-self.payload["matrix"])
-        if self.kind == "fourier":
-            return HessianPath.fourier(
-                -self.payload["s0"],
-                [-a for a in self.payload["cos"]],
-                [-b for b in self.payload["sin"]],
-            )
-        return HessianPath.sampled(-self.payload["values"])
+        return self._map(np.negative)
 
     def congruent(self, c) -> "HessianPath":
         """The congruent generator c^T S(t) c (used for conjugation invariance)."""
         c = np.asarray(c, dtype=float)
         if c.shape != (self.dim, self.dim):
             raise ValueError("congruence matrix shape mismatch")
-        tr = lambda m: c.T @ m @ c
-        if self.kind == "constant":
-            return HessianPath.constant(tr(self.payload["matrix"]))
-        if self.kind == "fourier":
-            return HessianPath.fourier(
-                tr(self.payload["s0"]),
-                [tr(a) for a in self.payload["cos"]],
-                [tr(b) for b in self.payload["sin"]],
-            )
-        return HessianPath.sampled(np.stack([tr(v) for v in self.payload["values"]]))
+        return self._map(lambda m: c.T @ m @ c)
 
     def to_payload(self) -> dict:
         """JSON-serializable description (used by scenario files and reports)."""
         if self.kind == "constant":
-            return {"kind": "constant", "matrix": self.payload["matrix"].tolist()}
+            return {"kind": "constant", "matrix": self.stack[0].tolist()}
         if self.kind == "fourier":
+            s0, cos, sin = _fourier_parts(self.stack, self.n_cos)
             return {
                 "kind": "fourier",
-                "s0": self.payload["s0"].tolist(),
-                "cos": [a.tolist() for a in self.payload["cos"]],
-                "sin": [b.tolist() for b in self.payload["sin"]],
+                "s0": s0.tolist(),
+                "cos": [a.tolist() for a in cos],
+                "sin": [b.tolist() for b in sin],
             }
-        return {"kind": "sampled", "values": self.payload["values"].tolist()}
+        return {"kind": "sampled", "values": self.stack.tolist()}
 
     @classmethod
     def from_payload(cls, doc: dict) -> "HessianPath":
@@ -206,16 +170,73 @@ class HessianPath:
         raise ValueError(f"unknown generator kind {kind!r}")
 
 
-def _classify(path: HessianPath) -> str:
-    lo = math.inf
-    hi = -math.inf
-    for t in np.linspace(0.0, 1.0, _CLASSIFY_GRID):
-        w = np.linalg.eigvalsh(path(t))
-        lo = min(lo, float(w[0]))
-        hi = max(hi, float(w[-1]))
-    if hi < -_DEFINITENESS_DELTA:
+def _fourier_parts(stack: np.ndarray, n_cos: int):
+    """(S0, cosine terms, sine terms) of a constant or Fourier stack."""
+    return stack[0], stack[1:1 + n_cos], stack[1 + n_cos:]
+
+
+# Each compiler returns the evaluator t -> S(t), sample matrices S(t_i) and
+# a slack (scalar or one per sample) such that every t in [0, 1] has a
+# sample with ||S(t) - S(t_i)||_2 <= slack_i.
+
+
+def _compile_constant(stack, n_cos):
+    m = stack[0]
+    return (lambda t: m), stack, 0.0
+
+
+def _compile_fourier(stack, n_cos):
+    s0, cos, sin = _fourier_parts(stack, n_cos)
+    cos, sin = list(cos), list(sin)
+
+    def evaluator(t):
+        out = s0.copy()
+        for k, a in enumerate(cos, start=1):
+            out += math.cos(2.0 * math.pi * k * t) * a
+        for k, b in enumerate(sin, start=1):
+            out += math.sin(2.0 * math.pi * k * t) * b
+        return out
+
+    # ||S'(t)||_2 <= L = 2 pi sum_k k (||A_k||_2 + ||B_k||_2), and every t is
+    # within half a grid step of a grid time.
+    k = np.concatenate((np.arange(1, len(cos) + 1), np.arange(1, len(sin) + 1)))
+    lipschitz = 2.0 * math.pi * float(k @ np.linalg.norm(stack[1:], 2, axis=(1, 2)))
+    grid = np.linspace(0.0, 1.0, _CLASSIFY_GRID)
+    samples = np.stack([evaluator(float(t)) for t in grid])
+    return evaluator, samples, lipschitz * 0.5 / (_CLASSIFY_GRID - 1)
+
+
+def _compile_sampled(stack, n_cos):
+    spline = CubicSpline(np.linspace(0.0, 1.0, len(stack)), stack, axis=0)
+    # On knot interval i, S(t) - S(t_i) = sum_{j=1..3} c[3 - j, i] (t - t_i)^j,
+    # symmetrized, with c[3, i] the knot value itself.
+    h = np.diff(spline.x)
+    norms = np.linalg.norm(spline.c[:3], 2, axis=(-2, -1))
+    slack = norms[2] * h + norms[1] * h**2 + norms[0] * h**3
+    return (lambda t: _symmetrize(np.asarray(spline(t)))), stack[:-1], slack
+
+
+_COMPILERS = {
+    "constant": _compile_constant,
+    "fourier": _compile_fourier,
+    "sampled": _compile_sampled,
+}
+
+
+def _certified_definiteness(samples: np.ndarray, slack) -> str:
+    """Definiteness tag of S(t) for every t in [0, 1].
+
+    By Weyl's inequality each eigenvalue of S(t) lies within
+    ||S(t) - S(t_i)||_2 <= slack_i of the same eigenvalue of a sample
+    S(t_i), so widening the sample eigenvalue range by the slack bounds the
+    spectrum of S(t) on all of [0, 1].  Definite means that range clears
+    +-1e-8; anything else, an uncertifiable generator included, is
+    indefinite.
+    """
+    w = np.linalg.eigvalsh(samples)
+    if float(np.max(w[:, -1] + slack)) < -_DEFINITENESS_DELTA:
         return NEGATIVE_DEFINITE
-    if lo > _DEFINITENESS_DELTA:
+    if float(np.min(w[:, 0] - slack)) > _DEFINITENESS_DELTA:
         return POSITIVE_DEFINITE
     return INDEFINITE
 
@@ -229,17 +250,13 @@ def direct_sum(a: HessianPath, b: HessianPath) -> HessianPath:
         out[ma.shape[0] :, ma.shape[0] :] = mb
         return out
 
-    if a.kind == "constant" and b.kind == "constant":
-        return HessianPath.constant(join(a.payload["matrix"], b.payload["matrix"]))
-    if a.kind in ("constant", "fourier") and b.kind in ("constant", "fourier"):
+    if "sampled" not in (a.kind, b.kind):
+        sa, cos_a, sin_a = _fourier_parts(a.stack, a.n_cos)
+        sb, cos_b, sin_b = _fourier_parts(b.stack, b.n_cos)
+        if a.kind == b.kind == "constant":
+            return HessianPath.constant(join(sa, sb))
         za = np.zeros((a.dim, a.dim))
         zb = np.zeros((b.dim, b.dim))
-        sa = a.payload.get("s0", a.payload.get("matrix"))
-        sb = b.payload.get("s0", b.payload.get("matrix"))
-        cos_a = a.payload.get("cos", [])
-        cos_b = b.payload.get("cos", [])
-        sin_a = a.payload.get("sin", [])
-        sin_b = b.payload.get("sin", [])
         kmax = max(len(cos_a), len(cos_b), len(sin_a), len(sin_b))
         pad = lambda terms, z, k: terms[k] if k < len(terms) else z
         cos = [join(pad(cos_a, za, k), pad(cos_b, zb, k)) for k in range(kmax)]

@@ -15,12 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .flows import (
-    _DEFINITENESS_DELTA,
-    NEGATIVE_DEFINITE,
-    POSITIVE_DEFINITE,
-    HessianPath,
-)
+from .flows import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, HessianPath
 
 __all__ = [
     "NormalizationCertificate",
@@ -81,33 +76,19 @@ def _sphere_certificate(profile: Callable[[float], float], shift: float,
 def sphere_height_scenario(lam: float) -> Scenario:
     """Rotation family on the unit sphere driven by the height function.
 
-    H = lam * z with the area form of total area 4 pi.  The maximizer and
-    minimizer are the poles, the linearized flow at each pole is a planar
-    rotation with angular speed |lam|, and the height already has zero mean.
+    H = lam * z with the area form of total area 4 pi: the profile family
+    with f(z) = lam z.  The maximizer and minimizer are the poles, the
+    linearized flow at each pole is a planar rotation with angular speed
+    |lam|, and the height already has zero mean.
     """
     lam = float(lam)
     if lam == 0.0:
         raise ValueError("lam must be nonzero (a constant Hamiltonian has no extremal pair)")
-    speed = abs(lam)
-    s_max = HessianPath.constant(-speed * np.eye(2))
-    s_min = HessianPath.constant(+speed * np.eye(2))
-    cert = _sphere_certificate(lambda z: lam * z, 0.0, z_nodes=64)
-    return Scenario(
-        name=f"sphere_height(lam={lam:g})",
-        dim=2,
-        S_max=s_max,
-        S_min=s_min,
-        max_value_curve=lambda t: speed,
-        min_value_curve=lambda t: -speed,
-        normalization_certificate=cert,
-        metadata={
-            "model": "sphere_height",
-            "lambda": lam,
-            "pole_speed_max": speed,
-            "pole_speed_min": speed,
-            "max_at": "north_pole" if lam > 0 else "south_pole",
-        },
-    )
+    scenario = sphere_profile_scenario(lambda z: lam * z, lambda z: lam)
+    scenario.name = f"sphere_height(lam={lam:g})"
+    del scenario.metadata["normalization_shift"]  # zero up to rounding
+    scenario.metadata.update({"model": "sphere_height", "lambda": lam})
+    return scenario
 
 
 def sphere_profile_scenario(profile: Callable[[float], float],
@@ -182,19 +163,14 @@ def quadratic_scenario(s_max: HessianPath, s_min: HessianPath,
     """Wrap user-supplied local data (Hessian germs plus value curves).
 
     No manifold is attached, so there is no normalization certificate; the
-    scenario is flagged as a local model.  Definiteness and curve separation
-    are enforced here because nothing else would catch them.
+    scenario is flagged as a local model.  The data are checked with
+    `validate_ustilovsky` at construction, so a violation (an indefinite
+    germ or colliding value curves) raises ValueError here rather than at
+    the first verification.
     """
     if s_max.dim != s_min.dim:
         raise ValueError("maximizer and minimizer Hessian paths must share a dimension")
-    if s_max.definiteness != NEGATIVE_DEFINITE:
-        raise ValueError("S_max must be negative definite (Morse maximum)")
-    if s_min.definiteness != POSITIVE_DEFINITE:
-        raise ValueError("S_min must be positive definite (Morse minimum)")
-    for t in np.linspace(0.0, 1.0, _VALIDATION_GRID):
-        if not max_value_curve(t) > min_value_curve(t):
-            raise ValueError(f"extremal value curves collide at t={t:.4f}")
-    return Scenario(
+    scenario = Scenario(
         name=name,
         dim=s_max.dim,
         S_max=s_max,
@@ -204,6 +180,10 @@ def quadratic_scenario(s_max: HessianPath, s_min: HessianPath,
         normalization_certificate=None,
         metadata={"model": "quadratic", "local_model": True},
     )
+    violations = validate_ustilovsky(scenario)
+    if violations:
+        raise ValueError("; ".join(violations))
+    return scenario
 
 
 def hofer_lengths(scenario: Scenario) -> dict:
@@ -226,23 +206,17 @@ def hofer_lengths(scenario: Scenario) -> dict:
 def validate_ustilovsky(scenario: Scenario) -> list[str]:
     """Structural checks for a valid geodesic scenario; violations are data.
 
-    Checks Morse definiteness of both Hessian paths on a time grid,
-    separation of the extremal value curves, and the normalization
-    certificate when one is attached.
+    Checks Morse definiteness of both Hessian paths (their certified tags,
+    which hold for every t in [0, 1]), separation of the extremal value
+    curves on a time grid, and the normalization certificate when one is
+    attached.
     """
     violations: list[str] = []
-    grid = np.linspace(0.0, 1.0, _VALIDATION_GRID)
-    for t in grid:
-        w = np.linalg.eigvalsh(scenario.S_max(t))
-        if float(w[-1]) >= -_DEFINITENESS_DELTA:
-            violations.append(f"S_max not negative definite at t={t:.4f}")
-            break
-    for t in grid:
-        w = np.linalg.eigvalsh(scenario.S_min(t))
-        if float(w[0]) <= _DEFINITENESS_DELTA:
-            violations.append(f"S_min not positive definite at t={t:.4f}")
-            break
-    for t in grid:
+    if scenario.S_max.definiteness != NEGATIVE_DEFINITE:
+        violations.append("S_max not negative definite")
+    if scenario.S_min.definiteness != POSITIVE_DEFINITE:
+        violations.append("S_min not positive definite")
+    for t in np.linspace(0.0, 1.0, _VALIDATION_GRID):
         if not scenario.max_value_curve(t) > scenario.min_value_curve(t):
             violations.append(f"extremal values collide at t={t:.4f}")
             break

@@ -49,6 +49,20 @@ def constant_planar(speed: float) -> HessianPath:
     return HessianPath.constant(-speed * np.eye(2))
 
 
+def aliased_fourier() -> HessianPath:
+    """-I plus 2 I sin(2 pi 128 t): -I on every multiple of 1/128, +I at 1/512."""
+    zero = np.zeros((2, 2))
+    return HessianPath.fourier(-np.eye(2), sin_terms=[zero] * 127 + [2.0 * np.eye(2)])
+
+
+def aliased_spline() -> HessianPath:
+    """-I at 1025 knots except -100 I at knot 3; the spline overshoots to
+    a top eigenvalue of about +15 between knots."""
+    values = np.stack([-np.eye(2)] * 1025)
+    values[3] = -100.0 * np.eye(2)
+    return HessianPath.sampled(values)
+
+
 def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 

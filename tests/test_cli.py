@@ -153,6 +153,32 @@ def test_verify_invalid_quadratic_exit(tmp_path, capsys):
     assert main(["verify", str(scn)]) == EXIT_VALIDATION
 
 
+def test_verify_rejects_aliased_fourier_quadratic(tmp_path, capsys):
+    zero = [[0.0, 0.0], [0.0, 0.0]]
+    scn = write_scenario(
+        tmp_path,
+        model="quadratic",
+        parameters={
+            "s_max": {"kind": "fourier", "s0": [[-1.0, 0.0], [0.0, -1.0]],
+                      "sin": [zero] * 127 + [[[2.0, 0.0], [0.0, 2.0]]]},
+            "s_min": {"kind": "constant", "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+            "max_curve_coeffs": [1.0],
+            "min_curve_coeffs": [-1.0],
+        },
+    )
+    assert main(["verify", str(scn)]) == EXIT_VALIDATION
+    assert "S_max not negative definite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "plot"])
+def test_flat_profile_is_a_validation_failure(tmp_path, capsys, command):
+    scn = write_scenario(tmp_path, model="sphere_profile",
+                         parameters={"profile_coeffs": [0.0, 5e-9]})
+    assert main([command, str(scn), "-o", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert "validation: S_max not negative definite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # -- sweep ------------------------------------------------------------------
 
 
@@ -188,6 +214,16 @@ def test_sweep_marks_degenerate_rows(tmp_path, capsys):
     rows = parse_csv(capsys.readouterr().out)
     assert [r["status"] for r in rows] == ["degenerate", "degenerate"]
     assert all(r["morse_index_plus"] == "" for r in rows)
+
+
+def test_sweep_marks_zero_lambda_invalid(tmp_path, capsys):
+    scn = write_scenario(tmp_path)
+    assert main(["sweep", str(scn), "--parameter", "lambda",
+                 "--min", "-1", "--max", "1", "--count", "3",
+                 "--steps", "64"]) == EXIT_OK
+    rows = parse_csv(capsys.readouterr().out)
+    assert [r["status"] for r in rows] == ["pass", "invalid", "pass"]
+    assert rows[1]["morse_index_plus"] == ""
 
 
 def test_sweep_steps_discretization_independence(tmp_path, capsys):

@@ -18,6 +18,8 @@ from hoferlab import (
     symplectic_residual,
 )
 from tests.oracles import (
+    aliased_fourier,
+    aliased_spline,
     block_flow,
     constant_planar,
     planar_flow,
@@ -67,10 +69,49 @@ def test_direct_sum_blocks():
 
 
 def test_payload_roundtrip(rng):
-    gen = random_negdef_fourier(4, rng)
-    clone = HessianPath.from_payload(gen.to_payload())
-    for t in (0.0, 0.31, 0.99):
-        assert np.allclose(gen(t), clone(t), atol=1e-15)
+    uneven = HessianPath.fourier(-5.0 * np.eye(2), [0.5 * np.eye(2)],
+                                 [np.diag([0.3, -0.2]), 0.1 * np.eye(2), np.eye(2)[::-1]])
+    for gen in (random_negdef_fourier(4, rng), uneven):
+        clone = HessianPath.from_payload(gen.to_payload())
+        assert clone.to_payload() == gen.to_payload()
+        for t in (0.0, 0.31, 0.99):
+            assert np.allclose(gen(t), clone(t), atol=1e-15)
+
+
+_SYM4 = np.array([[0.0, 1.0, 0.0, 0.5], [1.0, -1.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.5, 1.0], [0.5, 0.0, 1.0, 0.0]])
+
+
+@pytest.mark.parametrize("gen", [
+    HessianPath.constant(-3.0 * np.eye(4) + 0.1 * _SYM4),
+    HessianPath.fourier(-3.0 * np.eye(4), [0.2 * _SYM4], [0.1 * _SYM4, 0.3 * np.eye(4)]),
+    HessianPath.sampled(np.stack([-(3.0 + t) * np.eye(4) + t * _SYM4
+                                  for t in np.linspace(0.0, 1.0, 9)])),
+], ids=["constant", "fourier", "sampled"])
+def test_transforms_keep_kind_and_values(gen):
+    c = np.array([[1.0, 0.2, 0.0, 0.0], [0.0, 1.0, 0.0, 0.3],
+                  [0.5, 0.0, 2.0, 0.0], [0.0, 0.0, 0.1, 1.0]])
+    neg, cong = gen.negated(), gen.congruent(c)
+    assert neg.kind == cong.kind == gen.kind
+    for t in (0.0, 0.13, 0.5, 0.77, 1.0):
+        assert np.array_equal(neg(t), -gen(t))
+        assert np.allclose(cong(t), c.T @ gen(t) @ c, atol=1e-13)
+
+
+def test_stack_is_read_only():
+    gen = HessianPath.fourier(-np.eye(2), [0.1 * np.eye(2)])
+    assert gen.stack.shape == (2, 2, 2) and gen.n_cos == 1
+    with pytest.raises(ValueError):
+        gen.stack[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("make", [aliased_fourier, aliased_spline])
+def test_definiteness_between_samples_is_certified(make):
+    # Both are -I on every sample a time grid would visit, yet S(t) has a
+    # positive eigenvalue between samples.
+    gen = make()
+    assert gen.definiteness == "indefinite"
+    assert gen.negated().definiteness == "indefinite"
 
 
 # -- integrate ---------------------------------------------------------------

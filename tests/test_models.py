@@ -19,7 +19,7 @@ from hoferlab import (
     validate_ustilovsky,
     verify_theorem,
 )
-from tests.oracles import TWO_PI
+from tests.oracles import TWO_PI, aliased_fourier, aliased_spline
 
 
 # -- sphere height ---------------------------------------------------------------
@@ -39,6 +39,14 @@ def test_sphere_height_stable_short_rotation():
 def test_sphere_height_rejects_zero():
     with pytest.raises(ValueError):
         sphere_height_scenario(0.0)
+
+
+def test_sphere_height_metadata():
+    scenario = sphere_height_scenario(-3.3)
+    assert scenario.name == "sphere_height(lam=-3.3)"
+    assert scenario.metadata == {"model": "sphere_height", "lambda": -3.3, "pole_speed_max": 3.3,
+                                 "pole_speed_min": 3.3, "max_at": "south_pole"}
+    assert scenario.max_value_curve(0.4) == 3.3 and scenario.min_value_curve(0.4) == -3.3
 
 
 def test_sphere_height_negative_lambda():
@@ -210,6 +218,16 @@ def test_validate_reports_definiteness_violation():
     scenario.S_max = HessianPath.fourier(-0.5 * np.eye(2), [0.6 * np.eye(2)])
     violations = validate_ustilovsky(scenario)
     assert any("S_max not negative definite" in v for v in violations)
+
+
+@pytest.mark.parametrize("make", [aliased_fourier, aliased_spline])
+def test_validate_rejects_definiteness_lost_between_samples(make):
+    scenario = sphere_height_scenario(7.0)
+    scenario.S_max = make()
+    assert validate_ustilovsky(scenario) == ["S_max not negative definite"]
+    with pytest.raises(ValueError, match="S_max not negative definite"):
+        quadratic_scenario(make(), HessianPath.constant(np.eye(2)),
+                           max_value_curve=lambda t: 1.0, min_value_curve=lambda t: -1.0)
 
 
 def test_validate_reports_curve_collision():
