@@ -3,9 +3,9 @@ Hamiltonian flows and Morse indices of Hofer geodesic scenarios.
 
 The package integrates Psi' = J S(t) Psi with a structurally symplectic
 Magnus stepper, detects crossings with the Maslov cycle (eigenvalue-1
-times) by singular-value tracking, assembles Robbin-Salamon indices from
-crossing-form signatures, and verifies that the conjugate-time multiplicity
-sum at the maximizer equals |CZ(1) - CZ(eps)|.
+times) by singular-value tracking, reads Robbin-Salamon indices as the
+spectral flow of the unitary of the graph of Psi, and verifies that the
+conjugate-time multiplicity sum at the maximizer equals |CZ(1) - CZ(eps)|.
 """
 
 from .crossings import (
@@ -16,7 +16,6 @@ from .crossings import (
     concatenation_check,
     crossing_form,
     find_crossings,
-    planar_winding_index,
     rs_index,
 )
 from .errors import (
@@ -79,7 +78,7 @@ __all__ = [
     "HessianPath", "SymplecticPath", "integrate", "evaluate", "restrict", "direct_sum",
     # crossings
     "OPEN_OPEN", "RS_HALVES", "Crossing", "IndexValue", "find_crossings",
-    "crossing_form", "rs_index", "concatenation_check", "planar_winding_index",
+    "crossing_form", "rs_index", "concatenation_check",
     # morse
     "IndexReport", "admissible_epsilon", "check_nondegenerate", "morse_index",
     "verify_theorem",

@@ -1,28 +1,35 @@
-"""Crossing detection and Robbin-Salamon / Conley-Zehnder index assembly.
+"""Crossing detection and Robbin-Salamon / Conley-Zehnder indices.
 
 A crossing is a time where Psi(tau) has eigenvalue 1, i.e. where the graph
-of Psi(tau) meets the diagonal Lagrangian.  Detection tracks local minima
-of sigma_min(Psi(t) - I) on the node grid and refines them by bounded
-scalar minimization; determinant sign changes are useless here because the
-generic crossing is a touching zero.  Two thresholds separate concerns: a
-loose slope-aware trigger decides which minima are worth refining, and a
-tight kernel threshold (1e-7 relative) decides membership in the
-eigenvalue-1 kernel, i.e. the multiplicity.
+of Psi(tau) meets the diagonal Lagrangian.  Two independent algorithms read
+it.
+
+* The index is a spectral flow (Robbin-Salamon, "The Maslov index for
+  paths", 1993; Cappell-Lee-Miller, "On the Maslov index", 1994).  The
+  unitary W = conj(Z)^{-1} Z of the graph frame Z (`flows._graph_frame`)
+  has eigenangles that pass 0 mod 2 pi exactly at crossings, upward where
+  the crossing form is negative.  `rs_index` lifts the phase 2 arg det Z
+  stored at the nodes across the window and takes eigenangles at the two
+  ends only; it locates no crossing.
+* The crossings themselves (times, multiplicities, crossing forms) come
+  from a scan of sigma_min(Psi(t) - I): node minima under a loose
+  slope-aware trigger are refined by bounded scalar minimization, and a
+  tight kernel threshold (1e-7 relative) decides the multiplicity.
+  Determinant sign changes are useless here because the generic crossing
+  is a touching zero.  The scan closes its count against the phase, so a
+  crossing the trigger skips is found or reported.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 
-from .errors import (
-    CrossingResolutionError,
-    EndpointCrossingError,
-    IrregularCrossingError,
-)
-from .flows import SymplecticPath, evaluate
+from .errors import CrossingResolutionError, EndpointCrossingError
+from .flows import SymplecticPath, _graph_frame, evaluate
 
 __all__ = [
     "Crossing",
@@ -33,7 +40,6 @@ __all__ = [
     "crossing_form",
     "rs_index",
     "concatenation_check",
-    "planar_winding_index",
 ]
 
 OPEN_OPEN = "open_open"
@@ -44,6 +50,10 @@ KERNEL_RATIO = 1e-7
 TIME_TOL = 1e-10
 ENDPOINT_TOL = 1e-9
 _FORM_ZERO_RATIO = 1e-8
+# Largest phase move allowed between neighbouring samples, and the largest
+# miss, in turns, of the end eigenangles against the lifted phase.
+_PHASE_STEP_MAX = 0.5 * math.pi
+_TURN_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,9 +128,12 @@ def _crossing_at(path: SymplecticPath, tau: float) -> Crossing | None:
                     signature=(p, q), regular=(p + q == mult))
 
 
+def _sigma_min(psi: np.ndarray) -> float:
+    return float(np.linalg.svd(psi - np.eye(len(psi)), compute_uv=False)[-1])
+
+
 def _sigma_min_at(path: SymplecticPath, t: float) -> float:
-    diff = evaluate(path, t) - np.eye(path.dim)
-    return float(np.linalg.svd(diff, compute_uv=False)[-1])
+    return _sigma_min(evaluate(path, t))
 
 
 def _v_refine(path: SymplecticPath, tau: float, lo: float, hi: float) -> tuple[float, float]:
@@ -151,24 +164,106 @@ def _v_refine(path: SymplecticPath, tau: float, lo: float, hi: float) -> tuple[f
     return tau, val
 
 
+def _phase_window(path: SymplecticPath, a: float, b: float):
+    """The samples of [a, b] (a, the nodes strictly inside, b) for the phase.
+
+    Returns the node mask, the sample times, Psi at the two ends and a
+    continuous lift of 2 arg det Z at every sample.  Each sample step of
+    the lift is the principal difference, so a step of pi/2 or more raises:
+    it cannot be told apart from a step the other way round.
+    """
+    inner = (path.times > a + 1e-14) & (path.times < b - 1e-14)
+    ts = np.concatenate(([a], path.times[inner], [b]))
+    ends = np.stack((evaluate(path, a), evaluate(path, b)))
+    end_phase = 2.0 * np.angle(np.linalg.det(_graph_frame(ends - np.eye(path.dim))))
+    raw = np.concatenate((end_phase[:1], path.phase_nodes()[inner], end_phase[1:]))
+    steps = np.mod(np.diff(raw) + math.pi, 2.0 * math.pi) - math.pi
+    if np.abs(steps).max() >= _PHASE_STEP_MAX:
+        raise CrossingResolutionError(
+            f"graph phase moves by {np.abs(steps).max():.3f} rad in one grid step "
+            f"(limit pi/2); refine steps"
+        )
+    return inner, ts, ends, raw[0] + np.concatenate(([0.0], np.cumsum(steps)))
+
+
+def _counts(psis: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral counts, in half-units, and kernel dimensions of a stack of Psi.
+
+    With ``phases`` a lift Phi of the eigenangle sum of W, the count is
+    2 sum_j (#{k: 2 pi k < phi_j} + #{k: 2 pi k = phi_j} / 2) up to one
+    constant, i.e. 2 ((Phi - sum_j theta_j) / 2 pi + #{theta_j > 0})
+    + #kernel with theta_j the principal eigenangles.  The kernel is the k
+    angles nearest 0, with k by `_crossing_at`'s rule.  The spectral flow
+    from s to t is count(s) - count(t).
+    """
+    eye = np.eye(psis.shape[-1])
+    z = _graph_frame(psis - eye)
+    theta = np.angle(np.linalg.eigvals(np.linalg.solve(z.conj(), z)))
+    turns = (phases - theta.sum(axis=1)) / (2.0 * math.pi)
+    whole = np.rint(turns)
+    if np.abs(turns - whole).max() > _TURN_TOL:
+        raise CrossingResolutionError(
+            "eigenangles of the graph unitary miss its lifted phase; refine steps"
+        )
+    sigma = np.linalg.svd(psis - eye, compute_uv=False)
+    norms = np.linalg.norm(psis, 2, axis=(1, 2))
+    kernel = (sigma < KERNEL_RATIO * norms[:, None]).sum(axis=1)
+    nearness = np.argsort(np.argsort(np.abs(theta), axis=1), axis=1)
+    positive = ((theta > 0.0) & (nearness >= kernel[:, None])).sum(axis=1)
+    return (2 * whole + 2 * positive + kernel).astype(int), kernel
+
+
+def _locate(path: SymplecticPath, lo: float, hi: float) -> tuple[float, float]:
+    """(time, sigma_min) of the minimum of sigma_min(Psi(t) - I) on [lo, hi]."""
+    if hi - lo <= 4.0 * TIME_TOL:
+        return lo, _sigma_min_at(path, lo)
+    res = minimize_scalar(lambda t: _sigma_min_at(path, t), bounds=(lo, hi),
+                          method="bounded", options={"xatol": 1e-12})
+    return _v_refine(path, float(res.x), lo, hi)
+
+
+def _classify(path: SymplecticPath, located: list[tuple[float, float]]) -> list[Crossing]:
+    """Crossings at the located minima, one per cluster of copies."""
+    # Copies of one zero re-located from overlapping brackets land within
+    # the merge radius, far below any usable grid step, so separable
+    # crossings never merge.
+    merge_radius = 1e-6
+    merged: list[tuple[float, float]] = []
+    for tau, val in sorted(located):
+        if merged and tau - merged[-1][0] <= merge_radius:
+            if val < merged[-1][1]:
+                merged[-1] = (tau, val)
+            continue
+        merged.append((tau, val))
+    crossings = [_crossing_at(path, tau) for tau, _val in merged]
+    return [c for c in crossings if c is not None]
+
+
+def _halves(crossings: list[Crossing], a: float, b: float) -> int:
+    """Multiplicity sum in half-units; crossings at a or b count half."""
+    return sum(c.multiplicity * (1 if min(c.time - a, b - c.time) <= ENDPOINT_TOL else 2)
+               for c in crossings)
+
+
 def _scan_closed(path: SymplecticPath, a: float, b: float) -> list[Crossing]:
     """All crossings with tau in [a, b] (up to endpoint tolerance), sorted.
 
     The list always starts with the identity crossing when a is the path's
-    start time, and crossings closer than one grid step raise.
+    start time.  The located multiplicity is closed against the spectral
+    flow of the graph phase over [a, b]: when the phase shows more, every
+    node interval where the spectral count changes and no crossing lies is
+    refined, and a count that still falls short raises, as do crossings
+    closer than one grid step.
     """
     h = path.grid_spacing
-    inner = (path.times > a + 1e-14) & (path.times < b - 1e-14)
-    ts = np.concatenate(([a], path.times[inner], [b]))
+    inner, ts, ends, phase = _phase_window(path, a, b)
     fs = np.empty_like(ts)
-    fs[0] = _sigma_min_at(path, a)
-    fs[-1] = _sigma_min_at(path, b)
+    fs[0] = _sigma_min(ends[0])
+    fs[-1] = _sigma_min(ends[1])
     if inner.any():
         fs[1:-1] = path.sigma_min_nodes()[inner]
-    # Norm scale per node, bounded via ||Psi|| <= ||Psi - I|| + 1.
-    norms = fs + 1.0
 
-    candidates = []
+    located: list[tuple[float, float]] = []
     n = len(ts)
     for i in range(n):
         dl = fs[i] - fs[i - 1] if i > 0 else 0.0
@@ -177,77 +272,32 @@ def _scan_closed(path: SymplecticPath, a: float, b: float) -> list[Crossing]:
             continue
         if i + 1 < n and dr < 0:
             continue
-        # Slope-aware trigger: a crossing reached at speed v leaves a node
-        # minimum as large as v*h/2, so the raw threshold alone would miss
-        # fast crossings on coarse grids.
-        gate = TRIGGER_RATIO * norms[i] + 2.0 * (abs(dl) + abs(dr))
+        # Slope-aware trigger: the raw threshold is relative to the scale
+        # sigma_min + 1, and a crossing reached at speed v leaves a node
+        # minimum as large as v*h/2, which the raw threshold alone would
+        # miss on coarse grids.
+        gate = TRIGGER_RATIO * (fs[i] + 1.0) + 2.0 * (abs(dl) + abs(dr))
         if fs[i] <= gate:
-            candidates.append(i)
-
-    located: list[tuple[float, float]] = []
-    gap = 1e-7
-
-    def side_dips(lo: float, hi: float, far_is_high: bool, n_probe: int = 25):
-        """Sub-brackets around dips of sigma_min on one side of a found zero.
-
-        The edge next to the found zero always slopes up and is skipped; the
-        far edge gets a one-sided descent test so a zero hiding in the last
-        probe interval is not lost.
-        """
-        probe_t = np.linspace(lo, hi, n_probe)
-        probe_f = [_sigma_min_at(path, float(t)) for t in probe_t]
-        out = []
-        for j in range(1, n_probe - 1):
-            if probe_f[j] <= probe_f[j - 1] and probe_f[j] <= probe_f[j + 1]:
-                out.append((float(probe_t[j - 1]), float(probe_t[j + 1])))
-        if far_is_high and probe_f[-1] < probe_f[-2]:
-            out.append((float(probe_t[-2]), float(probe_t[-1])))
-        if not far_is_high and probe_f[0] < probe_f[1]:
-            out.append((float(probe_t[0]), float(probe_t[1])))
-        return out
-
-    def locate(lo: float, hi: float, depth: int) -> None:
-        if hi - lo <= 4.0 * TIME_TOL:
-            located.append((lo, _sigma_min_at(path, lo)))
-            return
-        res = minimize_scalar(lambda t: _sigma_min_at(path, t), bounds=(lo, hi),
-                              method="bounded", options={"xatol": 1e-12})
-        tau, val = _v_refine(path, float(res.x), lo, hi)
-        located.append((tau, val))
-        # A bracket can hide several touching zeros behind one grid minimum
-        # (clustered crossings); once a zero is confirmed, sweep both sides.
-        if depth >= 2 or val > 1e4 * KERNEL_RATIO:
-            return
-        for s_lo, s_hi, far_is_high in ((lo, tau - gap, False), (tau + gap, hi, True)):
-            if s_hi - s_lo <= 10.0 * gap:
-                continue
-            for d_lo, d_hi in side_dips(s_lo, s_hi, far_is_high):
-                locate(d_lo, d_hi, depth + 1)
-
-    for i in candidates:
-        locate(ts[max(i - 1, 0)], ts[min(i + 1, n - 1)], 0)
+            located.append(_locate(path, ts[max(i - 1, 0)], ts[min(i + 1, n - 1)]))
     # Explicit endpoint checks so flat zeros at a or b are never missed.
     located.append((float(a), float(fs[0])))
     located.append((float(b), float(fs[-1])))
+    crossings = _classify(path, located)
 
-    located.sort()
-    # Merge radius sits above the side-sweep gap and far below any usable
-    # grid, so re-located copies of one zero collapse while separable
-    # crossings never do.
-    merge_radius = 1e-6
-    merged: list[tuple[float, float]] = []
-    for tau, val in located:
-        if merged and tau - merged[-1][0] <= merge_radius:
-            if val < merged[-1][1]:
-                merged[-1] = (tau, val)
-            continue
-        merged.append((tau, val))
-
-    crossings = []
-    for tau, _val in merged:
-        c = _crossing_at(path, tau)
-        if c is not None:
-            crossings.append(c)
+    count, _kernel = _counts(ends, phase[[0, -1]])
+    flow = abs(int(count[1] - count[0]))
+    if _halves(crossings, a, b) < flow:
+        node_count, _kernel = _counts(
+            np.concatenate((ends[:1], path.matrices[inner], ends[1:])), phase)
+        for i in np.flatnonzero(node_count[1:] != node_count[:-1]):
+            lo, hi = float(ts[i]), float(ts[i + 1])
+            if not any(lo <= c.time <= hi for c in crossings):
+                located.append(_locate(path, lo, hi))
+        crossings = _classify(path, located)
+        if (found := _halves(crossings, a, b)) < flow:
+            raise CrossingResolutionError(
+                f"the scan locates {found} of the {flow} half-units of crossings that "
+                f"the graph phase shows on [{a:.6f}, {b:.6f}]; refine steps")
     for left, right in zip(crossings, crossings[1:]):
         if right.time - left.time < h:
             raise CrossingResolutionError(
@@ -275,53 +325,35 @@ def find_crossings(path: SymplecticPath,
 
 def rs_index(path: SymplecticPath, interval: tuple[float, float] | None = None,
              policy: str = OPEN_OPEN) -> IndexValue:
-    """Robbin-Salamon index of the path over an interval.
+    """Robbin-Salamon index of the path over an interval, as a spectral flow.
 
-    With ``open_open`` the interval is the half-open (a, b]: interior
-    crossings contribute their full signature sum p - q, and a crossing at
-    either endpoint raises (the single exemption being the structural
-    identity crossing when a is the path's own start time, which the
-    half-open window excludes exactly).  With ``rs_halves`` the interval is
-    closed and endpoint crossings contribute half their signature sum,
-    which is what makes index values at individual times well defined from
-    t = 0.  Any irregular crossing raises, since the index is undefined
-    without perturbation.
+    The index is count(a) - count(b) for the spectral count of the graph
+    unitary (see `_counts`), so a regular crossing contributes its
+    signature sum p - q and irregular crossings need no special case.
+    With ``open_open`` the interval is the half-open (a, b], and a crossing
+    at either endpoint raises; the single exemption is the identity when a
+    is the path's own start time, which is excluded by counting from the
+    first sample after it.  With ``rs_halves`` the interval is closed and
+    endpoint crossings contribute half, which is what makes index values at
+    individual times well defined from t = 0.
     """
     if policy not in (OPEN_OPEN, RS_HALVES):
         raise ValueError(f"unknown endpoint policy {policy!r}")
     a, b = interval if interval is not None else (path.t_start, path.t_end)
     if not (path.t_start - 1e-12 <= a < b <= path.t_end + 1e-12):
         raise ValueError(f"interval ({a}, {b}) outside path domain")
-    crossings = _scan_closed(path, max(a, path.t_start), min(b, path.t_end))
-    return _index_from_crossings(path, crossings, a, b, policy)
-
-
-def _index_from_crossings(path: SymplecticPath, crossings: list[Crossing],
-                          a: float, b: float, policy: str) -> IndexValue:
-    """`rs_index` over [a, b] from the closed-window scan of [a, b]."""
-    at_a = [c for c in crossings if abs(c.time - a) <= ENDPOINT_TOL]
-    at_b = [c for c in crossings if abs(c.time - b) <= ENDPOINT_TOL]
-    interior = [c for c in crossings
-                if abs(c.time - a) > ENDPOINT_TOL and abs(c.time - b) > ENDPOINT_TOL]
-
-    for c in interior + (at_a + at_b if policy == RS_HALVES else []):
-        if not c.regular:
-            raise IrregularCrossingError(
-                f"irregular crossing at t={c.time:.6f}: form singular on the kernel"
-            )
-
-    if policy == OPEN_OPEN:
-        start_exempt = abs(a - path.t_start) <= ENDPOINT_TOL
-        if (at_a and not start_exempt) or at_b:
-            where = f"t={at_a[0].time:.6f}" if (at_a and not start_exempt) else f"t={at_b[0].time:.6f}"
-            raise EndpointCrossingError(
-                f"crossing at interval endpoint ({where}) under open_open policy"
-            )
-        halves = 2 * sum(c.signature_sum for c in interior)
-    else:
-        halves = 2 * sum(c.signature_sum for c in interior)
-        halves += sum(c.signature_sum for c in at_a + at_b)
-    return IndexValue(half_units=int(halves), interval=(float(a), float(b)), policy=policy)
+    lo, hi = max(a, path.t_start), min(b, path.t_end)
+    if policy == OPEN_OPEN and abs(a - path.t_start) <= ENDPOINT_TOL:
+        lo = min(float(path.times[1]), hi)
+    _inner, _ts, ends, phase = _phase_window(path, lo, hi)
+    count, kernel = _counts(ends, phase[[0, -1]])
+    if policy == OPEN_OPEN and kernel.any():
+        where = hi if kernel[1] else lo
+        raise EndpointCrossingError(
+            f"crossing at interval endpoint (t={where:.6f}) under open_open policy"
+        )
+    return IndexValue(half_units=int(count[0] - count[1]), interval=(float(a), float(b)),
+                      policy=policy)
 
 
 def concatenation_check(path: SymplecticPath, m: float) -> bool:
@@ -329,125 +361,9 @@ def concatenation_check(path: SymplecticPath, m: float) -> bool:
     if not (path.t_start < m < path.t_end):
         raise ValueError("split point must lie strictly inside the path domain")
     psi = evaluate(path, m)
-    smin = float(np.linalg.svd(psi - np.eye(path.dim), compute_uv=False)[-1])
-    if smin <= 10.0 * KERNEL_RATIO * float(np.linalg.norm(psi, 2)):
+    if _sigma_min(psi) <= 10.0 * KERNEL_RATIO * float(np.linalg.norm(psi, 2)):
         raise ValueError(f"split point t={m} is a crossing time")
     whole = rs_index(path, interval=(path.t_start, path.t_end))
     left = rs_index(path, interval=(path.t_start, m))
     right = rs_index(path, interval=(m, path.t_end))
     return whole.half_units == left.half_units + right.half_units
-
-
-# ---------------------------------------------------------------------------
-# Planar winding oracle
-
-
-def _planar_angles(path: SymplecticPath) -> np.ndarray:
-    """Continuous eigenvalue angle along a planar path, unwrapped from 0.
-
-    For elliptic M in SL(2) the eigenvalues are exp(+-i theta) with
-    cos theta = tr/2, and the rotation direction is the sign of
-    M[1,0] - M[0,1] (a conjugation invariant).  Hyperbolic stretches clip to
-    the nearest multiple of pi, freezing the angle there.
-    """
-    tr = np.einsum("kii->ki", path.matrices).sum(axis=1)
-    theta = np.arccos(np.clip(tr / 2.0, -1.0, 1.0))
-    skew = path.matrices[:, 1, 0] - path.matrices[:, 0, 1]
-    sign = np.where(skew >= 0.0, 1.0, -1.0)
-    return np.unwrap(sign * theta)
-
-
-def planar_winding_index(path: SymplecticPath,
-                         interval: tuple[float, float] | None = None,
-                         policy: str = OPEN_OPEN) -> IndexValue:
-    """Independent index oracle for planar paths via angle tracking.
-
-    Tracks the continuous eigenvalue angle of the SL(2) path and counts the
-    events where the trace touches 2 (full turns of the angle).  Each event
-    contributes sign(dPhi) * mult, with mult = 2 when the matrix returns to
-    the identity and 1 at a parabolic passage, full weight in the interior
-    and half weight at closed endpoints under ``rs_halves``.  Shares nothing
-    with the sigma_min scan, so it cross-checks `rs_index` in dimension 2.
-    """
-    if path.dim != 2:
-        raise ValueError("planar winding index is defined only in dimension 2")
-    if policy not in (OPEN_OPEN, RS_HALVES):
-        raise ValueError(f"unknown endpoint policy {policy!r}")
-    a, b = interval if interval is not None else (path.t_start, path.t_end)
-    if not (path.t_start - 1e-12 <= a < b <= path.t_end + 1e-12):
-        raise ValueError(f"interval ({a}, {b}) outside path domain")
-
-    ts = path.times
-    phi = _planar_angles(path)
-    g = np.einsum("kii->ki", path.matrices).sum(axis=1) - 2.0
-
-    # Event times: zeros of tr - 2, found from sign changes and near-zero
-    # local maxima (touching zeros), refined independently of sigma_min.
-    event_times: list[float] = []
-
-    def refine_touch(lo: float, hi: float) -> float | None:
-        res = minimize_scalar(lambda t: 2.0 - np.trace(evaluate(path, t)),
-                              bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-12})
-        return float(res.x) if res.fun <= 1e-9 else None
-
-    n = len(ts)
-    for i in range(n):
-        if abs(g[i]) <= 1e-12:
-            event_times.append(float(ts[i]))
-            continue
-        if i + 1 < n and g[i] * g[i + 1] < 0.0:
-            event_times.append(float(brentq(
-                lambda t: float(np.trace(evaluate(path, t))) - 2.0, ts[i], ts[i + 1],
-                xtol=1e-13)))
-        is_peak = (i == 0 or g[i] >= g[i - 1]) and (i + 1 == n or g[i] >= g[i + 1])
-        if is_peak and g[i] < 0.0 and g[i] > -1e-2:
-            lo = float(ts[max(i - 1, 0)])
-            hi = float(ts[min(i + 1, n - 1)])
-            tau = refine_touch(lo, hi)
-            if tau is not None:
-                event_times.append(tau)
-
-    event_times.sort()
-    merged: list[float] = []
-    for tau in event_times:
-        if merged and tau - merged[-1] <= ENDPOINT_TOL:
-            continue
-        merged.append(tau)
-
-    def direction(tau: float) -> int:
-        span = max(3.0 * path.grid_spacing, 1e-3)
-        lo = max(path.t_start, tau - span)
-        hi = min(path.t_end, tau + span)
-        p_lo = float(np.interp(lo, ts, phi))
-        p_hi = float(np.interp(hi, ts, phi))
-        if p_hi > p_lo + 1e-12:
-            return 1
-        if p_hi < p_lo - 1e-12:
-            return -1
-        return 0
-
-    def multiplicity(tau: float) -> int:
-        psi = evaluate(path, tau)
-        return 2 if np.abs(psi - np.eye(2)).max() <= 1e-5 else 1
-
-    halves = 0
-    for tau in merged:
-        at_a = abs(tau - a) <= ENDPOINT_TOL
-        at_b = abs(tau - b) <= ENDPOINT_TOL
-        if tau < a - ENDPOINT_TOL or tau > b + ENDPOINT_TOL:
-            continue
-        d = direction(tau)
-        if d == 0:
-            continue
-        if at_a or at_b:
-            if policy == OPEN_OPEN:
-                if at_a and abs(a - path.t_start) <= ENDPOINT_TOL:
-                    continue
-                raise EndpointCrossingError(
-                    f"winding event at interval endpoint t={tau:.6f} under open_open"
-                )
-            halves += d * multiplicity(tau)
-        else:
-            halves += 2 * d * multiplicity(tau)
-    return IndexValue(half_units=int(halves), interval=(float(a), float(b)), policy=policy)

@@ -287,6 +287,7 @@ class SymplecticPath:
     max_symplectic_residual: float = field(init=False)
     max_det_error: float = field(init=False)
     _sigma_nodes: np.ndarray = field(init=False, repr=False)
+    _phase_nodes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not np.isfinite(self.matrices).all():
@@ -307,6 +308,7 @@ class SymplecticPath:
             raise IntegrationError(f"determinant defect {self.max_det_error:.3e} exceeds 1e-9")
         diff = self.matrices - np.eye(self.dim)
         self._sigma_nodes = np.linalg.svd(diff, compute_uv=False)[:, -1]
+        self._phase_nodes = 2.0 * np.angle(np.linalg.det(_graph_frame(diff)))
 
     @property
     def grid_spacing(self) -> float:
@@ -315,6 +317,23 @@ class SymplecticPath:
     def sigma_min_nodes(self) -> np.ndarray:
         """sigma_min(Psi(t_i) - I) at every node, computed at construction."""
         return self._sigma_nodes
+
+    def phase_nodes(self) -> np.ndarray:
+        """2 arg det Z(t_i) at every node (`_graph_frame`), computed at construction."""
+        return self._phase_nodes
+
+
+def _graph_frame(diff: np.ndarray) -> np.ndarray:
+    """Complex frame Z = (Psi + I) + i J (Psi - I) of the graph of Psi, from
+    diff = Psi - I (one matrix or a stack).
+
+    The columns of (Psi + I, J (Psi - I)) span a Lagrangian, so Z is
+    invertible and W = conj(Z)^{-1} Z is unitary, with det W =
+    exp(2 i arg det Z) and W v = v exactly when (Psi - I) v = 0.
+    """
+    z = 1j * (standard_structure(diff.shape[-1] // 2).J @ diff)
+    z += diff + 2.0 * np.eye(diff.shape[-1])
+    return z
 
 
 def _magnus_exponent(generator: HessianPath, J: np.ndarray, t0: float, h: float) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 The Morse index of a geodesic scenario with respect to the positive Hofer
 length is the sum of conjugate-time multiplicities of the linearized flow
-at the maximizer over (0, 1).  `verify_theorem` computes that sum and,
-by an independent signed assembly, the Conley-Zehnder values CZ at times
-epsilon and 1 (half-weighted identity crossing at t = 0 cancels in the
-difference), and checks that the Morse index equals |CZ(1) - CZ(eps)|.
+at the maximizer over (0, 1).  `verify_theorem` computes that sum from the
+crossing scan and, independently, the Conley-Zehnder values CZ at times
+epsilon and 1 as spectral flows of the graph phase (half-weighted identity
+crossing at t = 0 cancels in the difference), and checks that the Morse
+index equals |CZ(1) - CZ(eps)|.
 """
 
 from __future__ import annotations
@@ -14,17 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crossings import (
-    ENDPOINT_TOL,
-    OPEN_OPEN,
-    RS_HALVES,
-    Crossing,
-    IndexValue,
-    _index_from_crossings,
-    _scan_closed,
-    find_crossings,
-    rs_index,
-)
+from .crossings import OPEN_OPEN, RS_HALVES, Crossing, IndexValue, find_crossings, rs_index
 from .errors import (
     DegenerateEndpointError,
     IrregularCrossingError,
@@ -50,9 +41,8 @@ def check_nondegenerate(path: SymplecticPath) -> bool:
     Tests sigma_min(Psi(t_end) - I) against 1e-6 * ||Psi(t_end)||, i.e.
     nondegeneracy in the Floer sense at the final time.
     """
-    psi = path.matrices[-1]
-    smin = float(np.linalg.svd(psi - np.eye(path.dim), compute_uv=False)[-1])
-    return smin > DEGENERACY_RATIO * float(np.linalg.norm(psi, 2))
+    smin = float(path.sigma_min_nodes()[-1])
+    return smin > DEGENERACY_RATIO * float(np.linalg.norm(path.matrices[-1], 2))
 
 
 def _epsilon(crossings: list[Crossing]) -> float:
@@ -150,9 +140,10 @@ class IndexReport:
 def verify_theorem(scenario, steps: int | None = None, epsilon: float | None = None) -> IndexReport:
     """Check the Morse-index / Conley-Zehnder identity on a scenario.
 
-    Computes the conjugate-time multiplicity sum at the maximizer (theorem
-    left-hand side), the signed Robbin-Salamon values CZ(eps) and CZ(1) with
-    half-weighted endpoints from t = 0 (right-hand side |CZ(1) - CZ(eps)|),
+    Computes the conjugate-time multiplicity sum at the maximizer from the
+    crossing scan (theorem left-hand side), the signed Robbin-Salamon
+    values CZ(eps) and CZ(1) with half-weighted endpoints from t = 0 as
+    spectral flows of the graph phase (right-hand side |CZ(1) - CZ(eps)|),
     and the minimizer-side index from the negated Hessian path.  Internal
     consistency (concatenation additivity of the signed values) is part of
     the verdict.
@@ -173,11 +164,9 @@ def verify_theorem(scenario, steps: int | None = None, epsilon: float | None = N
         if not check_nondegenerate(p):
             raise DegenerateEndpointError(f"degenerate at t=1 ({side} side)")
 
-    # One closed scan of the max side feeds the Morse count, epsilon and
-    # CZ(1); CZ(eps) and the (eps, 1] window are scanned on their own, so
-    # the concatenation check compares independent scans.
-    closed_max = _scan_closed(path_max, 0.0, 1.0)
-    crossings_max = [c for c in closed_max if c.time > ENDPOINT_TOL]
+    # One scan per side feeds the Morse counts and epsilon; the CZ values
+    # are read from the graph phase, which locates no crossing.
+    crossings_max = find_crossings(path_max, (0.0, 1.0))
     morse_plus = _morse_count(crossings_max, path_max.t_end)
     crossings_min = find_crossings(path_min, (0.0, 1.0))
     morse_minus = _morse_count(crossings_min, path_min.t_end)
@@ -195,7 +184,7 @@ def verify_theorem(scenario, steps: int | None = None, epsilon: float | None = N
             )
 
     cz_eps = rs_index(path_max, interval=(0.0, eps), policy=RS_HALVES)
-    cz_one = _index_from_crossings(path_max, closed_max, 0.0, 1.0, RS_HALVES)
+    cz_one = rs_index(path_max, interval=(0.0, 1.0), policy=RS_HALVES)
     cz_interval = rs_index(path_max, interval=(eps, 1.0), policy=OPEN_OPEN)
 
     diff_halves = cz_one.half_units - cz_eps.half_units

@@ -2,6 +2,9 @@
 
 The rotation oracles are built from cos/sin only, so they are independent
 of every code path in the package (no matrix exponentials, no SVD scans).
+The two index references at the end derive the index by other algorithms
+than the package's spectral flow: from the crossing forms of the scan, and
+(in dimension 2) from the winding of the eigenvalue angle.
 """
 
 from __future__ import annotations
@@ -10,8 +13,21 @@ import math
 
 import numpy as np
 from scipy.linalg import block_diag
+from scipy.optimize import brentq, minimize_scalar
 
-from hoferlab import HessianPath, check_nondegenerate, integrate
+from hoferlab import (
+    OPEN_OPEN,
+    RS_HALVES,
+    EndpointCrossingError,
+    HessianPath,
+    IndexValue,
+    IrregularCrossingError,
+    SymplecticPath,
+    check_nondegenerate,
+    evaluate,
+    integrate,
+)
+from hoferlab.crossings import ENDPOINT_TOL, _scan_closed
 
 TWO_PI = 2.0 * math.pi
 
@@ -125,3 +141,138 @@ def random_symplectic(dim: int, rng: np.random.Generator, scale: float = 0.6) ->
     J = standard_structure(dim // 2).J
     s = scale * _sym(rng.normal(size=(dim, dim)))
     return symplectic_expm(J @ s)
+
+
+def crossing_form_index(path, interval=None, policy: str = OPEN_OPEN) -> IndexValue:
+    """Reference Robbin-Salamon index assembled from the crossing forms of
+    the closed scan of [a, b]: interior crossings add their signature sum
+    p - q, crossings at a or b half of it under ``rs_halves`` and raise
+    under ``open_open`` (except the identity at the path's start)."""
+    a, b = interval if interval is not None else (path.t_start, path.t_end)
+    crossings = _scan_closed(path, a, b)
+    halves = 0
+    for c in crossings:
+        at_end = min(abs(c.time - a), abs(c.time - b)) <= ENDPOINT_TOL
+        if not c.regular:
+            raise IrregularCrossingError(f"irregular crossing at t={c.time:.6f}")
+        if not at_end:
+            halves += 2 * c.signature_sum
+        elif policy == RS_HALVES:
+            halves += c.signature_sum
+        elif abs(c.time - path.t_start) > ENDPOINT_TOL:
+            raise EndpointCrossingError(f"crossing at interval endpoint t={c.time:.6f}")
+    return IndexValue(half_units=halves, interval=(float(a), float(b)), policy=policy)
+
+
+# -- planar winding oracle -----------------------------------------------------
+
+
+def _planar_angles(path: SymplecticPath) -> np.ndarray:
+    """Continuous eigenvalue angle along a planar path, unwrapped from 0.
+
+    For elliptic M in SL(2) the eigenvalues are exp(+-i theta) with
+    cos theta = tr/2, and the rotation direction is the sign of
+    M[1,0] - M[0,1] (a conjugation invariant).  Hyperbolic stretches clip to
+    the nearest multiple of pi, freezing the angle there.
+    """
+    tr = np.einsum("kii->ki", path.matrices).sum(axis=1)
+    theta = np.arccos(np.clip(tr / 2.0, -1.0, 1.0))
+    skew = path.matrices[:, 1, 0] - path.matrices[:, 0, 1]
+    sign = np.where(skew >= 0.0, 1.0, -1.0)
+    return np.unwrap(sign * theta)
+
+
+def planar_winding_index(path: SymplecticPath,
+                         interval: tuple[float, float] | None = None,
+                         policy: str = OPEN_OPEN) -> IndexValue:
+    """Independent index oracle for planar paths via angle tracking.
+
+    Tracks the continuous eigenvalue angle of the SL(2) path and counts the
+    events where the trace touches 2 (full turns of the angle).  Each event
+    contributes sign(dPhi) * mult, with mult = 2 when the matrix returns to
+    the identity and 1 at a parabolic passage, full weight in the interior
+    and half weight at closed endpoints under ``rs_halves``.  Shares nothing
+    with the sigma_min scan, so it cross-checks `rs_index` in dimension 2.
+    """
+    if path.dim != 2:
+        raise ValueError("planar winding index is defined only in dimension 2")
+    if policy not in (OPEN_OPEN, RS_HALVES):
+        raise ValueError(f"unknown endpoint policy {policy!r}")
+    a, b = interval if interval is not None else (path.t_start, path.t_end)
+    if not (path.t_start - 1e-12 <= a < b <= path.t_end + 1e-12):
+        raise ValueError(f"interval ({a}, {b}) outside path domain")
+
+    ts = path.times
+    phi = _planar_angles(path)
+    g = np.einsum("kii->ki", path.matrices).sum(axis=1) - 2.0
+
+    # Event times: zeros of tr - 2, found from sign changes and near-zero
+    # local maxima (touching zeros), refined independently of sigma_min.
+    event_times: list[float] = []
+
+    def refine_touch(lo: float, hi: float) -> float | None:
+        res = minimize_scalar(lambda t: 2.0 - np.trace(evaluate(path, t)),
+                              bounds=(lo, hi), method="bounded",
+                              options={"xatol": 1e-12})
+        return float(res.x) if res.fun <= 1e-9 else None
+
+    n = len(ts)
+    for i in range(n):
+        if abs(g[i]) <= 1e-12:
+            event_times.append(float(ts[i]))
+            continue
+        if i + 1 < n and g[i] * g[i + 1] < 0.0:
+            event_times.append(float(brentq(
+                lambda t: float(np.trace(evaluate(path, t))) - 2.0, ts[i], ts[i + 1],
+                xtol=1e-13)))
+        is_peak = (i == 0 or g[i] >= g[i - 1]) and (i + 1 == n or g[i] >= g[i + 1])
+        if is_peak and g[i] < 0.0 and g[i] > -1e-2:
+            lo = float(ts[max(i - 1, 0)])
+            hi = float(ts[min(i + 1, n - 1)])
+            tau = refine_touch(lo, hi)
+            if tau is not None:
+                event_times.append(tau)
+
+    event_times.sort()
+    merged: list[float] = []
+    for tau in event_times:
+        if merged and tau - merged[-1] <= ENDPOINT_TOL:
+            continue
+        merged.append(tau)
+
+    def direction(tau: float) -> int:
+        span = max(3.0 * path.grid_spacing, 1e-3)
+        lo = max(path.t_start, tau - span)
+        hi = min(path.t_end, tau + span)
+        p_lo = float(np.interp(lo, ts, phi))
+        p_hi = float(np.interp(hi, ts, phi))
+        if p_hi > p_lo + 1e-12:
+            return 1
+        if p_hi < p_lo - 1e-12:
+            return -1
+        return 0
+
+    def multiplicity(tau: float) -> int:
+        psi = evaluate(path, tau)
+        return 2 if np.abs(psi - np.eye(2)).max() <= 1e-5 else 1
+
+    halves = 0
+    for tau in merged:
+        at_a = abs(tau - a) <= ENDPOINT_TOL
+        at_b = abs(tau - b) <= ENDPOINT_TOL
+        if tau < a - ENDPOINT_TOL or tau > b + ENDPOINT_TOL:
+            continue
+        d = direction(tau)
+        if d == 0:
+            continue
+        if at_a or at_b:
+            if policy == OPEN_OPEN:
+                if at_a and abs(a - path.t_start) <= ENDPOINT_TOL:
+                    continue
+                raise EndpointCrossingError(
+                    f"winding event at interval endpoint t={tau:.6f} under open_open"
+                )
+            halves += d * multiplicity(tau)
+        else:
+            halves += 2 * d * multiplicity(tau)
+    return IndexValue(half_units=int(halves), interval=(float(a), float(b)), policy=policy)

@@ -129,6 +129,28 @@ def test_verify_quadratic_model(tmp_path, capsys):
     assert read_report(capsys)["result"]["morse_index_total"] == 4
 
 
+def test_verify_quadratic_close_block_crossings(tmp_path, capsys):
+    # Two planar blocks whose crossings lie 1.5 grid steps apart at 512 steps:
+    # the node trigger sees one grid minimum, the graph phase shows both.
+    lam2 = TWO_PI / (TWO_PI / 7.0 + 1.5 / 512)
+    diag = [7.0, 7.0, lam2, lam2]
+    s_max = [[-diag[i] if i == j else 0.0 for j in range(4)] for i in range(4)]
+    scn = write_scenario(
+        tmp_path,
+        model="quadratic",
+        parameters={
+            "s_max": {"kind": "constant", "matrix": s_max},
+            "s_min": {"kind": "constant", "matrix": [[-x for x in row] for row in s_max]},
+            "max_curve_coeffs": [1.0],
+            "min_curve_coeffs": [-1.0],
+        },
+    )
+    assert main(["verify", str(scn)]) == EXIT_OK
+    result = read_report(capsys)["result"]
+    assert result["morse_index_plus"] == 2 * full_turns(7.0) + 2 * full_turns(lam2) == 4
+    assert result["verdict"] == "pass"
+
+
 def test_verify_profile_model(tmp_path, capsys):
     scn = write_scenario(
         tmp_path,

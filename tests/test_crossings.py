@@ -18,14 +18,16 @@ from hoferlab import (
     direct_sum,
     find_crossings,
     integrate,
-    planar_winding_index,
+    morse_index,
     rs_index,
 )
 from hoferlab.errors import CrossingResolutionError
 from tests.oracles import (
     TWO_PI,
     constant_planar,
+    crossing_form_index,
     crossing_times,
+    planar_winding_index,
     random_negdef_fourier,
     random_nondegenerate_negdef,
 )
@@ -77,6 +79,23 @@ def test_resolution_guard_raises():
     path = integrate(direct_sum(constant_planar(7.0), constant_planar(6.9)), 0.0, 1.0, 64)
     with pytest.raises(CrossingResolutionError):
         find_crossings(path)
+
+
+@pytest.mark.parametrize("spacing", [1.05, 1.5, 1.95])
+def test_close_block_crossings_are_all_found(spacing):
+    # Crossings of two planar blocks `spacing` grid steps apart: the scan
+    # closes its count against the graph phase and refines the interval
+    # that the node trigger skipped.
+    steps = 512
+    lam2 = TWO_PI / (TWO_PI / 7.0 + spacing / steps)
+    gen = direct_sum(constant_planar(7.0), constant_planar(lam2))
+    path = integrate(gen, 0.0, 1.0, steps)
+    found = find_crossings(path, (0.0, 1.0))
+    expected = sorted(crossing_times(7.0) + crossing_times(lam2))
+    assert len(found) == len(expected) == 2
+    for c, tau in zip(found, expected):
+        assert c.multiplicity == 2
+        assert abs(c.time - tau) <= 1e-8
 
 
 def test_scans_leave_no_state_on_the_path():
@@ -164,8 +183,43 @@ def test_rs_index_raises_on_irregular_crossing():
     # is only identifiable to ~1e-5 here; regular crossings get 1e-10.
     assert abs(found[0].time - 0.75) < 1e-4
     assert not found[0].regular
+    # The spectral flow is defined there: both eigenangles pass 0 upward.
+    assert rs_index(path, interval=(0.25, 0.9)).half_units == -4
     with pytest.raises(IrregularCrossingError):
-        rs_index(path, interval=(0.25, 0.9))
+        morse_index(gen)
+
+
+def test_rs_index_through_eigenvalue_minus_one():
+    # Psi(pi/7) = -I: the graph unitary has eigenvalue -1 there, which is no
+    # crossing and moves no count.
+    path = integrate(constant_planar(7.0), 0.0, 1.0, 2048)
+    for policy in ("open_open", "rs_halves"):
+        assert rs_index(path, interval=(0.3, 0.6), policy=policy).half_units == 0
+
+
+def test_rs_index_matches_crossing_form_assembly():
+    # The spectral flow against the signature sums of the scanned crossings,
+    # on definite generators of both signs and windows with and without the
+    # path's start.
+    rng = np.random.default_rng(8128)
+    compared = 0
+    for dim in (2, 4, 6):
+        for _ in range(3):
+            gen, path = random_nondegenerate_negdef(dim, rng, steps=384)
+            neg = integrate(gen.negated(), 0.0, 1.0, 384)
+            u = np.sort(rng.uniform(0.05, 0.95, size=3))
+            windows = ((0.0, 1.0), (0.0, float(u[0])), (float(u[1]), 1.0),
+                       (float(u[0]), float(u[2])))
+            for p in (path, neg):
+                for window in windows:
+                    for policy in ("open_open", "rs_halves"):
+                        try:
+                            expected = crossing_form_index(p, window, policy)
+                        except CrossingResolutionError:
+                            continue
+                        assert rs_index(p, window, policy) == expected, (dim, window, policy)
+                        compared += 1
+    assert compared >= 120
 
 
 # -- concatenation ---------------------------------------------------------------
