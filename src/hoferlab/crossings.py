@@ -6,11 +6,11 @@ it.
 
 * The index is a spectral flow (Robbin-Salamon, "The Maslov index for
   paths", 1993; Cappell-Lee-Miller, "On the Maslov index", 1994).  The
-  unitary W = conj(Z)^{-1} Z of the graph frame Z (`flows._graph_frame`)
-  has eigenangles that pass 0 mod 2 pi exactly at crossings, upward where
-  the crossing form is negative.  `rs_index` lifts the phase 2 arg det Z
-  stored at the nodes across the window and takes eigenangles at the two
-  ends only; it locates no crossing.
+  unitary W of the graph of Psi (`flows.graph_angles`) has eigenangles
+  that pass 0 mod 2 pi exactly at crossings, upward where the crossing form
+  is negative.  `rs_index` lifts their sum, the graph phase, across the
+  window (`flows.phase_window`) and takes eigenangles at the two ends only;
+  it locates no crossing.
 * The crossings themselves (times, multiplicities, crossing forms) come
   from a scan of sigma_min(Psi(t) - I): node minima under a loose
   slope-aware trigger are refined by bounded scalar minimization, and a
@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import CrossingResolutionError, EndpointCrossingError
-from .flows import SymplecticPath, _graph_frame, evaluate
+from .flows import SymplecticPath, evaluate, graph_angles, phase_window
 
 __all__ = [
     "Crossing",
@@ -50,9 +50,7 @@ KERNEL_RATIO = 1e-7
 TIME_TOL = 1e-10
 ENDPOINT_TOL = 1e-9
 _FORM_ZERO_RATIO = 1e-8
-# Largest phase move allowed between neighbouring samples, and the largest
-# miss, in turns, of the end eigenangles against the lifted phase.
-_PHASE_STEP_MAX = 0.5 * math.pi
+# Largest miss, in turns, of the end eigenangles against the lifted phase.
 _TURN_TOL = 1e-6
 
 
@@ -164,28 +162,6 @@ def _v_refine(path: SymplecticPath, tau: float, lo: float, hi: float) -> tuple[f
     return tau, val
 
 
-def _phase_window(path: SymplecticPath, a: float, b: float):
-    """The samples of [a, b] (a, the nodes strictly inside, b) for the phase.
-
-    Returns the node mask, the sample times, Psi at the two ends and a
-    continuous lift of 2 arg det Z at every sample.  Each sample step of
-    the lift is the principal difference, so a step of pi/2 or more raises:
-    it cannot be told apart from a step the other way round.
-    """
-    inner = (path.times > a + 1e-14) & (path.times < b - 1e-14)
-    ts = np.concatenate(([a], path.times[inner], [b]))
-    ends = np.stack((evaluate(path, a), evaluate(path, b)))
-    end_phase = 2.0 * np.angle(np.linalg.det(_graph_frame(ends - np.eye(path.dim))))
-    raw = np.concatenate((end_phase[:1], path.phase_nodes()[inner], end_phase[1:]))
-    steps = np.mod(np.diff(raw) + math.pi, 2.0 * math.pi) - math.pi
-    if np.abs(steps).max() >= _PHASE_STEP_MAX:
-        raise CrossingResolutionError(
-            f"graph phase moves by {np.abs(steps).max():.3f} rad in one grid step "
-            f"(limit pi/2); refine steps"
-        )
-    return inner, ts, ends, raw[0] + np.concatenate(([0.0], np.cumsum(steps)))
-
-
 def _counts(psis: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectral counts, in half-units, and kernel dimensions of a stack of Psi.
 
@@ -196,16 +172,15 @@ def _counts(psis: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarra
     angles nearest 0, with k by `_crossing_at`'s rule.  The spectral flow
     from s to t is count(s) - count(t).
     """
-    eye = np.eye(psis.shape[-1])
-    z = _graph_frame(psis - eye)
-    theta = np.angle(np.linalg.eigvals(np.linalg.solve(z.conj(), z)))
+    diff = psis - np.eye(psis.shape[-1])
+    theta = graph_angles(diff)
     turns = (phases - theta.sum(axis=1)) / (2.0 * math.pi)
     whole = np.rint(turns)
     if np.abs(turns - whole).max() > _TURN_TOL:
         raise CrossingResolutionError(
             "eigenangles of the graph unitary miss its lifted phase; refine steps"
         )
-    sigma = np.linalg.svd(psis - eye, compute_uv=False)
+    sigma = np.linalg.svd(diff, compute_uv=False)
     norms = np.linalg.norm(psis, 2, axis=(1, 2))
     kernel = (sigma < KERNEL_RATIO * norms[:, None]).sum(axis=1)
     nearness = np.argsort(np.argsort(np.abs(theta), axis=1), axis=1)
@@ -256,7 +231,7 @@ def _scan_closed(path: SymplecticPath, a: float, b: float) -> list[Crossing]:
     closer than one grid step.
     """
     h = path.grid_spacing
-    inner, ts, ends, phase = _phase_window(path, a, b)
+    inner, ts, ends, phase = phase_window(path, a, b)
     fs = np.empty_like(ts)
     fs[0] = _sigma_min(ends[0])
     fs[-1] = _sigma_min(ends[1])
@@ -279,9 +254,11 @@ def _scan_closed(path: SymplecticPath, a: float, b: float) -> list[Crossing]:
         gate = TRIGGER_RATIO * (fs[i] + 1.0) + 2.0 * (abs(dl) + abs(dr))
         if fs[i] <= gate:
             located.append(_locate(path, ts[max(i - 1, 0)], ts[min(i + 1, n - 1)]))
-    # Explicit endpoint checks so flat zeros at a or b are never missed.
-    located.append((float(a), float(fs[0])))
-    located.append((float(b), float(fs[-1])))
+    # Explicit endpoint checks so flat zeros at a or b are never missed.  An
+    # end where Psi has a kernel by `_crossing_at`'s rule, the rule rs_index
+    # uses, wins its merge cluster, so that crossing sits at the end itself.
+    for t, f, psi in ((a, fs[0], ends[0]), (b, fs[-1], ends[1])):
+        located.append((float(t), -1.0 if f < KERNEL_RATIO * np.linalg.norm(psi, 2) else f))
     crossings = _classify(path, located)
 
     count, _kernel = _counts(ends, phase[[0, -1]])
@@ -345,7 +322,7 @@ def rs_index(path: SymplecticPath, interval: tuple[float, float] | None = None,
     lo, hi = max(a, path.t_start), min(b, path.t_end)
     if policy == OPEN_OPEN and abs(a - path.t_start) <= ENDPOINT_TOL:
         lo = min(float(path.times[1]), hi)
-    _inner, _ts, ends, phase = _phase_window(path, lo, hi)
+    _inner, _ts, ends, phase = phase_window(path, lo, hi)
     count, kernel = _counts(ends, phase[[0, -1]])
     if policy == OPEN_OPEN and kernel.any():
         where = hi if kernel[1] else lo
@@ -357,7 +334,8 @@ def rs_index(path: SymplecticPath, interval: tuple[float, float] | None = None,
 
 
 def concatenation_check(path: SymplecticPath, m: float) -> bool:
-    """Verify index additivity across a split point that is not a crossing."""
+    """Index additivity across a split point that is not a crossing; spectral-flow
+    windows telescope, so this holds by construction."""
     if not (path.t_start < m < path.t_end):
         raise ValueError("split point must lie strictly inside the path domain")
     psi = evaluate(path, m)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import IntegrationError
+from .errors import CrossingResolutionError, IntegrationError
 from .symplectic import standard_structure, symplectic_expm, symplectic_inverse
 
 __all__ = [
@@ -31,6 +31,9 @@ __all__ = [
     "evaluate",
     "restrict",
     "direct_sum",
+    "graph_phase",
+    "graph_angles",
+    "phase_window",
 ]
 
 NEGATIVE_DEFINITE = "negative_definite"
@@ -47,6 +50,9 @@ _DEFINITENESS_DELTA = 1e-8
 _CLASSIFY_GRID = 129
 _SYMMETRY_TOL = 1e-9
 _NODE_RESIDUAL_TOL = 1e-9
+# Graph phase sub-steps stay below a quarter turn, at most 64 per grid step.
+_QUARTER_TURN = 0.5 * math.pi
+_PHASE_SUBSTEPS_MAX = 64
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
@@ -78,10 +84,11 @@ class HessianPath:
       cubic spline and re-symmetrized after interpolation so noise cannot
       break the symmetry invariant.
 
-    Transforms map each matrix of the stack.  The evaluator and the
-    definiteness tag are built once at construction; the tag holds for every
-    t in [0, 1] (see `_certified_definiteness`), and a generator whose
-    definiteness cannot be certified is tagged indefinite.
+    Transforms map each matrix of the stack.  The evaluator, the
+    definiteness tag and ``norm_bound`` are built once at construction and
+    hold for every t in [0, 1] (see `_certified_spectrum`): a generator whose
+    definiteness cannot be certified is tagged indefinite, and
+    ||S(t)||_2 <= norm_bound.
     """
 
     def __init__(self, kind: str, stack, n_cos: int = 0):
@@ -102,7 +109,7 @@ class HessianPath:
         if self.dim < 2 or self.dim % 2 != 0:
             raise ValueError(f"phase-space dimension must be even and >= 2, got {self.dim}")
         self._evaluator, samples, slack = _COMPILERS[kind](self.stack, self.n_cos)
-        self.definiteness = _certified_definiteness(samples, slack)
+        self.definiteness, self.norm_bound = _certified_spectrum(samples, slack)
 
     # -- constructors --------------------------------------------------
 
@@ -223,8 +230,8 @@ _COMPILERS = {
 }
 
 
-def _certified_definiteness(samples: np.ndarray, slack) -> str:
-    """Definiteness tag of S(t) for every t in [0, 1].
+def _certified_spectrum(samples: np.ndarray, slack) -> tuple[str, float]:
+    """Definiteness tag of S(t) and a bound on ||S(t)||_2, for every t in [0, 1].
 
     By Weyl's inequality each eigenvalue of S(t) lies within
     ||S(t) - S(t_i)||_2 <= slack_i of the same eigenvalue of a sample
@@ -234,11 +241,11 @@ def _certified_definiteness(samples: np.ndarray, slack) -> str:
     indefinite.
     """
     w = np.linalg.eigvalsh(samples)
-    if float(np.max(w[:, -1] + slack)) < -_DEFINITENESS_DELTA:
-        return NEGATIVE_DEFINITE
-    if float(np.min(w[:, 0] - slack)) > _DEFINITENESS_DELTA:
-        return POSITIVE_DEFINITE
-    return INDEFINITE
+    top, bottom = float(np.max(w[:, -1] + slack)), float(np.min(w[:, 0] - slack))
+    bound = max(top, -bottom)
+    if top < -_DEFINITENESS_DELTA:
+        return NEGATIVE_DEFINITE, bound
+    return (POSITIVE_DEFINITE if bottom > _DEFINITENESS_DELTA else INDEFINITE), bound
 
 
 def direct_sum(a: HessianPath, b: HessianPath) -> HessianPath:
@@ -308,7 +315,7 @@ class SymplecticPath:
             raise IntegrationError(f"determinant defect {self.max_det_error:.3e} exceeds 1e-9")
         diff = self.matrices - np.eye(self.dim)
         self._sigma_nodes = np.linalg.svd(diff, compute_uv=False)[:, -1]
-        self._phase_nodes = 2.0 * np.angle(np.linalg.det(_graph_frame(diff)))
+        self._phase_nodes = graph_phase(diff)
 
     @property
     def grid_spacing(self) -> float:
@@ -319,7 +326,7 @@ class SymplecticPath:
         return self._sigma_nodes
 
     def phase_nodes(self) -> np.ndarray:
-        """2 arg det Z(t_i) at every node (`_graph_frame`), computed at construction."""
+        """`graph_phase` at every node, computed at construction."""
         return self._phase_nodes
 
 
@@ -334,6 +341,58 @@ def _graph_frame(diff: np.ndarray) -> np.ndarray:
     z = 1j * (standard_structure(diff.shape[-1] // 2).J @ diff)
     z += diff + 2.0 * np.eye(diff.shape[-1])
     return z
+
+
+def graph_phase(diff: np.ndarray) -> np.ndarray:
+    """The graph phase 2 arg det Z, i.e. the eigenangle sum of W mod 2 pi,
+    from diff = Psi - I (one matrix or a stack); see `_graph_frame`."""
+    return 2.0 * np.angle(np.linalg.det(_graph_frame(diff)))
+
+
+def graph_angles(diff: np.ndarray) -> np.ndarray:
+    """Principal eigenangles of W = conj(Z)^{-1} Z, one row per matrix of
+    the stack diff = Psi - I; they pass 0 exactly where Psi has eigenvalue 1."""
+    z = _graph_frame(diff)
+    return np.angle(np.linalg.eigvals(np.linalg.solve(z.conj(), z)))
+
+
+def _principal(x: np.ndarray) -> np.ndarray:
+    return np.mod(x + math.pi, 2.0 * math.pi) - math.pi
+
+
+def phase_window(path: SymplecticPath, a: float, b: float):
+    """Node mask, sample times (a, the nodes inside, b), Psi(a) and Psi(b),
+    and a continuous lift of `graph_phase` at the samples.
+
+    The phase moves by at most dim ||S(t)||_2 per unit time (its derivative
+    is 2 tr((I + Psi^T Psi)^{-1} Psi^T S Psi), and the singular values s,
+    1/s of a symplectic Psi give weights s^2 / (1 + s^2) summing to dim/2).
+    A step where this bound, with ``norm_bound``, reaches a quarter turn is
+    cut into sub-steps by `evaluate`, so no principal difference aliases.
+    """
+    inner = (path.times > a + 1e-14) & (path.times < b - 1e-14)
+    ts = np.concatenate(([a], path.times[inner], [b]))
+    ends = np.stack((evaluate(path, a), evaluate(path, b)))
+    end_phase = graph_phase(ends - np.eye(path.dim))
+    raw = np.concatenate((end_phase[:1], path.phase_nodes()[inner], end_phase[1:]))
+    parts = np.floor(path.dim * path.generator.norm_bound * np.diff(ts) / _QUARTER_TURN)
+    if parts.max() >= _PHASE_SUBSTEPS_MAX:
+        raise CrossingResolutionError(
+            f"the graph phase may move by {parts.max():.0f} quarter turns in one grid "
+            f"step; refine steps")
+    steps = _principal(np.diff(raw))
+    worst = np.abs(steps[parts == 0]).max(initial=0.0)
+    for i in np.flatnonzero(parts):
+        sub = [evaluate(path, t) for t in np.linspace(ts[i], ts[i + 1], int(parts[i]) + 2)[1:-1]]
+        moves = _principal(np.diff(np.concatenate(
+            (raw[i:i + 1], graph_phase(np.stack(sub) - np.eye(path.dim)), raw[i + 1:i + 2]))))
+        worst = max(worst, np.abs(moves).max())
+        steps[i] = moves.sum()
+    if worst >= _QUARTER_TURN:
+        raise CrossingResolutionError(
+            f"graph phase moves by {worst:.3f} rad in one sample step (limit pi/2); "
+            f"refine steps")
+    return inner, ts, ends, raw[0] + np.concatenate(([0.0], np.cumsum(steps)))
 
 
 def _magnus_exponent(generator: HessianPath, J: np.ndarray, t0: float, h: float) -> np.ndarray:

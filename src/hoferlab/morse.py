@@ -144,9 +144,10 @@ def verify_theorem(scenario, steps: int | None = None, epsilon: float | None = N
     crossing scan (theorem left-hand side), the signed Robbin-Salamon
     values CZ(eps) and CZ(1) with half-weighted endpoints from t = 0 as
     spectral flows of the graph phase (right-hand side |CZ(1) - CZ(eps)|),
-    and the minimizer-side index from the negated Hessian path.  Internal
-    consistency (concatenation additivity of the signed values) is part of
-    the verdict.
+    and the minimizer-side index from the negated Hessian path.  The verdict
+    also requires CZ(1) - CZ(eps) to match the index on (eps, 1], which
+    holds by construction (spectral-flow windows telescope) and is kept as a
+    report field, not as an independent check.
 
     Raises ScenarioValidationError for structurally invalid scenarios and
     DegenerateEndpointError when either side's time-1 flow has eigenvalue 1.

@@ -197,6 +197,43 @@ def test_rs_index_through_eigenvalue_minus_one():
         assert rs_index(path, interval=(0.3, 0.6), policy=policy).half_units == 0
 
 
+def test_rs_index_on_fast_rotation_and_coarse_grid():
+    # 2 * 25 / 8 = 6.25 rad of graph phase per grid step, 0.033 short of a
+    # whole turn: the lift has to sub-sample each step to see it.
+    path = integrate(constant_planar(25.0), 0.0, 1.0, 8)
+    assert rs_index(path).half_units == -12
+    assert rs_index(path, policy="rs_halves").half_units == -14
+
+
+def test_fast_rotation_crossings_are_all_found():
+    # Crossings 3.2 grid steps apart, with the phase moving 3.9 rad per step.
+    path = integrate(constant_planar(1000.0), 0.0, 1.0, 512)
+    expected = crossing_times(1000.0)
+    found = find_crossings(path)
+    assert len(found) == len(expected)
+    assert max(abs(c.time - t) for c, t in zip(found, expected)) < 1e-4
+    assert rs_index(path).half_units == -4 * len(expected)
+
+
+def test_phase_lift_rejects_unresolvable_steps():
+    path = integrate(constant_planar(1.0e4), 0.0, 1.0, 8)
+    with pytest.raises(CrossingResolutionError):
+        rs_index(path)
+
+
+def test_window_ending_just_past_a_crossing():
+    # sigma_min(Psi(b) - I) is about 7e-8, inside the 1e-7 kernel rule: the
+    # scan and the spectral flow both put the crossing at b.
+    path = integrate(constant_planar(7.0), 0.0, 1.0, 2048)
+    b = TWO_PI / 7.0 + 1e-8
+    assert [c.time for c in find_crossings(path, (0.0, b))] == [b]
+    assert (rs_index(path, interval=(0.0, b), policy="rs_halves").half_units
+            == crossing_form_index(path, (0.0, b), "rs_halves").half_units == -4)
+    for index in (rs_index, crossing_form_index):
+        with pytest.raises(EndpointCrossingError):
+            index(path, (0.1, b))
+
+
 def test_rs_index_matches_crossing_form_assembly():
     # The spectral flow against the signature sums of the scanned crossings,
     # on definite generators of both signs and windows with and without the

@@ -114,6 +114,31 @@ def test_definiteness_between_samples_is_certified(make):
     assert gen.negated().definiteness == "indefinite"
 
 
+@pytest.mark.parametrize("make", [
+    lambda: HessianPath.constant(-3.0 * np.eye(4) + 0.1 * _SYM4),
+    lambda: HessianPath.fourier(-3.0 * np.eye(4), [0.2 * _SYM4], [0.1 * _SYM4]),
+    lambda: HessianPath.sampled(np.stack([-(3.0 + t) * np.eye(4) + t * _SYM4
+                                          for t in np.linspace(0.0, 1.0, 9)])),
+    aliased_fourier,
+    aliased_spline,
+])
+def test_norm_bound_holds_between_samples(make):
+    gen = make()
+    norms = [np.linalg.norm(gen(t), 2) for t in np.linspace(0.0, 1.0, 4001)]
+    assert max(norms) <= gen.norm_bound * (1.0 + 1e-12)
+
+
+def test_graph_phase_rate_is_bounded(rng):
+    # |d/dt 2 arg det Z| <= dim * ||S(t)||_2, which the phase lift relies on.
+    for dim in (2, 4, 6):
+        m = rng.normal(size=(dim, dim))
+        gen = HessianPath.fourier(-4.0 * np.eye(dim) + 0.5 * (m + m.T), [0.3 * (m + m.T)])
+        for g in (gen, HessianPath.fourier(0.3 * (m + m.T))):
+            path = integrate(g, 0.0, 1.0, 2048)
+            moves = np.angle(np.exp(1j * np.diff(path.phase_nodes())))
+            assert np.abs(moves).max() <= dim * g.norm_bound * path.grid_spacing
+
+
 # -- integrate ---------------------------------------------------------------
 
 
