@@ -50,7 +50,7 @@ KERNEL_RATIO = 1e-7
 TIME_TOL = 1e-10
 ENDPOINT_TOL = 1e-9
 _FORM_ZERO_RATIO = 1e-8
-# Largest miss, in turns, of the end eigenangles against the lifted phase.
+# Largest disagreement, in turns, of eigvals and det on the graph unitary.
 _TURN_TOL = 1e-6
 
 
@@ -171,6 +171,11 @@ def _counts(psis: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarra
     + #kernel with theta_j the principal eigenangles.  The kernel is the k
     angles nearest 0, with k by `_crossing_at`'s rule.  The spectral flow
     from s to t is count(s) - count(t).
+
+    Any lift equals the eigenangle sum mod 2 pi (`phase_window` certifies
+    the lift), so the turn check only compares `eigvals` of W with `det` of
+    Z: it fires on eigenvalues too ill-conditioned to count, which a finer
+    grid does not fix.
     """
     diff = psis - np.eye(psis.shape[-1])
     theta = graph_angles(diff)
@@ -178,7 +183,7 @@ def _counts(psis: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarra
     whole = np.rint(turns)
     if np.abs(turns - whole).max() > _TURN_TOL:
         raise CrossingResolutionError(
-            "eigenangles of the graph unitary miss its lifted phase; refine steps"
+            "eigvals and det of the graph unitary disagree: ill-conditioned eigenvalues"
         )
     sigma = np.linalg.svd(diff, compute_uv=False)
     norms = np.linalg.norm(psis, 2, axis=(1, 2))

@@ -44,7 +44,7 @@ DEFAULT_STEPS = 2048
 MIN_STEPS = 8
 
 # Two-point Gauss-Legendre nodes on [0, 1].
-_GAUSS_OFFSETS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+_GAUSS_OFFSETS = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
 
 _DEFINITENESS_DELTA = 1e-8
 _CLASSIFY_GRID = 129
@@ -53,10 +53,12 @@ _NODE_RESIDUAL_TOL = 1e-9
 # Graph phase sub-steps stay below a quarter turn, at most 64 per grid step.
 _QUARTER_TURN = 0.5 * math.pi
 _PHASE_SUBSTEPS_MAX = 64
+# Steps per numpy call in `integrate`; larger blocks cost memory, not speed.
+_BLOCK_STEPS = 512
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def _require_symmetric(m: np.ndarray, what: str) -> np.ndarray:
@@ -128,10 +130,14 @@ class HessianPath:
 
     # -- evaluation and transforms --------------------------------------
 
-    def __call__(self, t: float) -> np.ndarray:
-        if t < -1e-12 or t > 1.0 + 1e-12:
-            raise ValueError(f"time {t} outside the generator domain [0, 1]")
-        return self._evaluator(min(max(t, 0.0), 1.0))
+    def __call__(self, t) -> np.ndarray:
+        """S(t) for a time t, or the stack of S at an array of times, with
+        shape t.shape + (d, d); array and scalar calls agree bit for bit."""
+        ts = np.asarray(t, dtype=float)
+        outside = (ts < -1e-12) | (ts > 1.0 + 1e-12)
+        if outside.any():
+            raise ValueError(f"time {ts[outside][0]} outside the generator domain [0, 1]")
+        return self._evaluator(np.minimum(np.maximum(ts, 0.0), 1.0))
 
     def _map(self, f) -> "HessianPath":
         return HessianPath(self.kind, [f(m) for m in self.stack], self.n_cos)
@@ -182,34 +188,37 @@ def _fourier_parts(stack: np.ndarray, n_cos: int):
     return stack[0], stack[1:1 + n_cos], stack[1 + n_cos:]
 
 
-# Each compiler returns the evaluator t -> S(t), sample matrices S(t_i) and
-# a slack (scalar or one per sample) such that every t in [0, 1] has a
-# sample with ||S(t) - S(t_i)||_2 <= slack_i.
+# Each compiler returns the evaluator t -> S(t) for a float array t of any
+# shape, sample matrices S(t_i) and a slack (scalar or one per sample) such
+# that every t in [0, 1] has a sample with ||S(t) - S(t_i)||_2 <= slack_i.
 
 
 def _compile_constant(stack, n_cos):
     m = stack[0]
-    return (lambda t: m), stack, 0.0
+    return (lambda t: np.ones(t.shape + (1, 1)) * m), stack, 0.0
 
 
 def _compile_fourier(stack, n_cos):
-    s0, cos, sin = _fourier_parts(stack, n_cos)
-    cos, sin = list(cos), list(sin)
+    # Harmonic of each matrix: 0 for S0, then 1..K (cosines) and 1..L (sines).
+    k = np.concatenate(([0], np.arange(1, n_cos + 1), np.arange(1, len(stack) - n_cos)))
+    freq = 2.0 * math.pi * k
+    cosine = np.arange(len(stack)) <= n_cos
 
     def evaluator(t):
-        out = s0.copy()
-        for k, a in enumerate(cos, start=1):
-            out += math.cos(2.0 * math.pi * k * t) * a
-        for k, b in enumerate(sin, start=1):
-            out += math.sin(2.0 * math.pi * k * t) * b
+        # S0 cos(0) = S0, then the terms in stack order with argument (2 pi k) t,
+        # all elementwise, so each S(t) is the same in any array shape.
+        x = np.multiply.outer(t, freq)
+        terms = np.where(cosine, np.cos(x), np.sin(x))[..., None, None] * stack
+        out = terms[..., 0, :, :].copy()
+        for j in range(1, len(stack)):
+            out += terms[..., j, :, :]
         return out
 
     # ||S'(t)||_2 <= L = 2 pi sum_k k (||A_k||_2 + ||B_k||_2), and every t is
     # within half a grid step of a grid time.
-    k = np.concatenate((np.arange(1, len(cos) + 1), np.arange(1, len(sin) + 1)))
-    lipschitz = 2.0 * math.pi * float(k @ np.linalg.norm(stack[1:], 2, axis=(1, 2)))
+    lipschitz = 2.0 * math.pi * float(k[1:] @ np.linalg.norm(stack[1:], 2, axis=(1, 2)))
     grid = np.linspace(0.0, 1.0, _CLASSIFY_GRID)
-    samples = np.stack([evaluator(float(t)) for t in grid])
+    samples = evaluator(grid)
     return evaluator, samples, lipschitz * 0.5 / (_CLASSIFY_GRID - 1)
 
 
@@ -220,7 +229,7 @@ def _compile_sampled(stack, n_cos):
     h = np.diff(spline.x)
     norms = np.linalg.norm(spline.c[:3], 2, axis=(-2, -1))
     slack = norms[2] * h + norms[1] * h**2 + norms[0] * h**3
-    return (lambda t: _symmetrize(np.asarray(spline(t)))), stack[:-1], slack
+    return (lambda t: _symmetrize(spline(t))), stack[:-1], slack
 
 
 _COMPILERS = {
@@ -252,9 +261,10 @@ def direct_sum(a: HessianPath, b: HessianPath) -> HessianPath:
     """Block-diagonal join of two generators (phase spaces concatenate)."""
 
     def join(ma, mb):
-        out = np.zeros((ma.shape[0] + mb.shape[0],) * 2)
-        out[: ma.shape[0], : ma.shape[0]] = ma
-        out[ma.shape[0] :, ma.shape[0] :] = mb
+        da = ma.shape[-1]
+        out = np.zeros(ma.shape[:-2] + (da + mb.shape[-1],) * 2)
+        out[..., :da, :da] = ma
+        out[..., da:, da:] = mb
         return out
 
     if "sampled" not in (a.kind, b.kind):
@@ -270,7 +280,7 @@ def direct_sum(a: HessianPath, b: HessianPath) -> HessianPath:
         sin = [join(pad(sin_a, za, k), pad(sin_b, zb, k)) for k in range(kmax)]
         return HessianPath.fourier(join(sa, sb), cos, sin)
     grid = np.linspace(0.0, 1.0, 2049)
-    return HessianPath.sampled(np.stack([join(a(t), b(t)) for t in grid]))
+    return HessianPath.sampled(join(a(grid), b(grid)))
 
 
 # ---------------------------------------------------------------------------
@@ -395,17 +405,21 @@ def phase_window(path: SymplecticPath, a: float, b: float):
     return inner, ts, ends, raw[0] + np.concatenate(([0.0], np.cumsum(steps)))
 
 
-def _magnus_exponent(generator: HessianPath, J: np.ndarray, t0: float, h: float) -> np.ndarray:
-    s1 = generator(t0 + h * _GAUSS_OFFSETS[0])
-    s2 = generator(t0 + h * _GAUSS_OFFSETS[1])
-    for s in (s1, s2):
-        if not np.isfinite(s).all():
+def _magnus_exponent(generator: HessianPath, J: np.ndarray, t0, h: float) -> np.ndarray:
+    """Exponent of the Magnus step [t0, t0 + h], or the (m, d, d) stack of
+    exponents for a 1-D array of step starts t0."""
+    s = generator(np.add.outer(t0, h * _GAUSS_OFFSETS))  # both Gauss nodes of each step
+    scale = np.abs(s).max(axis=(-2, -1))
+    with np.errstate(invalid="ignore"):
+        skew = np.abs(s - s.swapaxes(-1, -2)).max(axis=(-2, -1))
+    bad = ~np.isfinite(scale) | (skew > _SYMMETRY_TOL * np.maximum(1.0, scale))
+    if bad.any():
+        # Report the first bad node in time order, finiteness checked first.
+        if not np.isfinite(scale.flat[np.argmax(bad)]):
             raise IntegrationError("generator returned non-finite values")
-        scale = max(1.0, float(np.abs(s).max()))
-        if float(np.abs(s - s.T).max()) > _SYMMETRY_TOL * scale:
-            raise IntegrationError("non-symmetric generator value at a quadrature point")
-    a1 = J @ s1
-    a2 = J @ s2
+        raise IntegrationError("non-symmetric generator value at a quadrature point")
+    a = J @ s
+    a1, a2 = a[..., 0, :, :], a[..., 1, :, :]
     return 0.5 * h * (a1 + a2) + (math.sqrt(3.0) / 12.0) * h * h * (a2 @ a1 - a1 @ a2)
 
 
@@ -415,7 +429,9 @@ def integrate(generator: HessianPath, t_start: float = 0.0, t_end: float = 1.0,
 
     Fourth-order Magnus stepping: each step multiplies by the exponential of
     a Gauss-averaged Hamiltonian matrix built from J S, plus the leading
-    commutator correction.  Node count is steps + 1.
+    commutator correction.  Node count is steps + 1.  Generator values,
+    checks and exponentials are batched per `_BLOCK_STEPS` steps; only the
+    running product loops, and Psi equals a step-by-step loop bit for bit.
 
     Parameters
     ----------
@@ -436,14 +452,14 @@ def integrate(generator: HessianPath, t_start: float = 0.0, t_end: float = 1.0,
     times = np.linspace(t_start, t_end, steps + 1)
     h = (t_end - t_start) / steps
     mats = np.empty((steps + 1, d, d))
-    psi = np.eye(d)
-    mats[0] = psi
+    mats[0] = np.eye(d)
     # Overflow shows up as non-finite nodes and is rejected at construction.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            w = _magnus_exponent(generator, J, times[k], h)
-            psi = symplectic_expm(w) @ psi
-            mats[k + 1] = psi
+        for lo in range(0, steps, _BLOCK_STEPS):
+            starts = times[lo:min(lo + _BLOCK_STEPS, steps)]
+            exps = symplectic_expm(_magnus_exponent(generator, J, starts, h))
+            for k, e in enumerate(exps, start=lo):
+                np.matmul(e, mats[k], out=mats[k + 1])
     return SymplecticPath(dim=d, t_start=t_start, t_end=t_end, times=times,
                           matrices=mats, generator=generator)
 

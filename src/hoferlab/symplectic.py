@@ -112,23 +112,25 @@ def symplectic_expm(a: np.ndarray) -> np.ndarray:
     arithmetic); squaring preserves that.  The fixed approximation order
     keeps the one-step error scaling with the step size, so refinement
     studies measure the integration scheme rather than rounding noise.
+    ``a`` is one matrix or a stack (..., d, d); each matrix gets its own
+    scaling exponent, so a stack equals the per-matrix calls bit for bit.
     """
     a = np.asarray(a, dtype=float)
-    d = a.shape[0]
-    eye = np.eye(d)
-    nrm = float(np.abs(a).sum(axis=0).max())
-    if not math.isfinite(nrm):
+    x = a.reshape(-1, *a.shape[-2:])
+    eye = np.eye(a.shape[-1])
+    s = np.ceil(np.log2(np.maximum(np.abs(x).sum(axis=-2).max(axis=-1), 1.0)))
+    squarings = s.max()
+    if not math.isfinite(squarings):
         raise ValueError("non-finite matrix passed to symplectic_expm")
-    s = max(0, math.ceil(math.log2(nrm))) if nrm > 1.0 else 0
-    x = a / (2.0**s)
+    x = x / (2.0**s)[:, None, None]
     x2 = x @ x
     x3 = x2 @ x
     p = eye + 0.5 * x + x2 / 10.0 + x3 / 120.0
     q = eye - 0.5 * x + x2 / 10.0 - x3 / 120.0
     r = np.linalg.solve(q, p)
-    for _ in range(s):
-        r = r @ r
-    return r
+    for j in range(int(squarings)):
+        r = np.where((s > j)[:, None, None], r @ r, r)
+    return r.reshape(a.shape)
 
 
 def hamiltonian_vector_field_selftest(structure: StandardStructure) -> bool:

@@ -5,6 +5,8 @@ of every code path in the package (no matrix exponentials, no SVD scans).
 The two index references at the end derive the index by other algorithms
 than the package's spectral flow: from the crossing forms of the scan, and
 (in dimension 2) from the winding of the eigenvalue angle.
+`integrate_stepwise` is the per-step loop that the blocked `integrate` must
+reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from hoferlab import (
     integrate,
 )
 from hoferlab.crossings import ENDPOINT_TOL, _scan_closed
+from hoferlab.flows import MIN_STEPS, _magnus_exponent
+from hoferlab.symplectic import standard_structure, symplectic_expm
 
 TWO_PI = 2.0 * math.pi
 
@@ -136,11 +140,36 @@ def random_nondegenerate_negdef(dim: int, rng: np.random.Generator, steps: int =
 
 def random_symplectic(dim: int, rng: np.random.Generator, scale: float = 0.6) -> np.ndarray:
     """A moderately conditioned random symplectic matrix exp(J S)."""
-    from hoferlab import standard_structure, symplectic_expm
-
     J = standard_structure(dim // 2).J
     s = scale * _sym(rng.normal(size=(dim, dim)))
     return symplectic_expm(J @ s)
+
+
+def integrate_stepwise(generator: HessianPath, t_start: float = 0.0, t_end: float = 1.0,
+                       steps: int = 2048) -> SymplecticPath:
+    """Reference for `integrate`: the same fourth-order Magnus scheme, one
+    step per loop iteration with one generator call (both Gauss nodes) and
+    one exponential.  `integrate` must equal it bit for bit."""
+    if not (0.0 <= t_start < t_end <= 1.0):
+        raise ValueError(f"need 0 <= t_start < t_end <= 1, got [{t_start}, {t_end}]")
+    steps = int(steps)
+    if steps < MIN_STEPS:
+        raise ValueError(f"steps must be >= {MIN_STEPS}, got {steps}")
+    d = generator.dim
+    J = standard_structure(d // 2).J
+    times = np.linspace(t_start, t_end, steps + 1)
+    h = (t_end - t_start) / steps
+    mats = np.empty((steps + 1, d, d))
+    psi = np.eye(d)
+    mats[0] = psi
+    # Overflow shows up as non-finite nodes and is rejected at construction.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            w = _magnus_exponent(generator, J, times[k], h)
+            psi = symplectic_expm(w) @ psi
+            mats[k + 1] = psi
+    return SymplecticPath(dim=d, t_start=t_start, t_end=t_end, times=times,
+                          matrices=mats, generator=generator)
 
 
 def crossing_form_index(path, interval=None, policy: str = OPEN_OPEN) -> IndexValue:

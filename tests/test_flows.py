@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from hoferlab import (
     HessianPath,
@@ -17,11 +18,13 @@ from hoferlab import (
     standard_structure,
     symplectic_residual,
 )
+from hoferlab.flows import _magnus_exponent
 from tests.oracles import (
     aliased_fourier,
     aliased_spline,
     block_flow,
     constant_planar,
+    integrate_stepwise,
     planar_flow,
     random_negdef_fourier,
 )
@@ -180,6 +183,119 @@ def test_node_count():
     path = integrate(constant_planar(2.0), 0.0, 1.0, 64)
     assert len(path.times) == 65
     assert path.matrices.shape == (65, 2, 2)
+
+
+# -- blocked integration ------------------------------------------------------
+
+
+def _generator(kind: str, dim: int, rng) -> HessianPath:
+    fourier = random_negdef_fourier(dim, rng)
+    if kind == "constant":
+        return HessianPath.constant(fourier.stack[0])
+    if kind == "sampled":
+        return HessianPath.sampled(fourier(np.linspace(0.0, 1.0, 65)))
+    return fourier
+
+
+def _assert_same_path(path, ref):
+    assert np.array_equal(path.times, ref.times)
+    assert np.array_equal(path.matrices, ref.matrices)
+    assert np.array_equal(path.sigma_min_nodes(), ref.sigma_min_nodes())
+    assert np.array_equal(path.phase_nodes(), ref.phase_nodes())
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+@pytest.mark.parametrize("kind", ["constant", "fourier", "sampled"])
+def test_integrate_matches_stepwise_loop(kind, dim, rng):
+    # Step counts below, at and above one block of 512 steps.
+    gen = _generator(kind, dim, rng)
+    for steps in (8, 512, 513, 1100):
+        _assert_same_path(integrate(gen, 0.0, 1.0, steps), integrate_stepwise(gen, 0.0, 1.0, steps))
+    _assert_same_path(integrate(gen, 0.2, 0.7, 600), integrate_stepwise(gen, 0.2, 0.7, 600))
+
+
+def test_integrate_matches_stepwise_loop_across_scaling_exponents():
+    # Step norms from about 0.8 to 8.6 inside one block: the exponentials of
+    # one stack take 0 to 4 squarings.
+    gen = HessianPath.fourier(-300.0 * np.eye(2), [-250.0 * np.eye(2)])
+    steps = 64
+    h = 1.0 / steps
+    starts = np.linspace(0.0, 1.0, steps + 1)[:-1]
+    exps = _magnus_exponent(gen, standard_structure(1).J, starts, h)
+    squarings = np.ceil(np.log2(np.maximum(np.abs(exps).sum(axis=-2).max(axis=-1), 1.0)))
+    assert set(squarings) == {0.0, 1.0, 2.0, 3.0, 4.0}
+    _assert_same_path(integrate(gen, 0.0, 1.0, steps), integrate_stepwise(gen, 0.0, 1.0, steps))
+
+
+@pytest.mark.parametrize("nan_after, skew_after, message", [
+    (0.1, 0.2, "non-finite"),
+    (0.2, 0.1, "non-symmetric"),
+    (0.6, 0.3, "non-symmetric"),
+])
+def test_integrate_reports_the_first_bad_generator_value(nan_after, skew_after, message):
+    # With 1100 steps, 0.1 and 0.2 fall in the first block and 0.6 in the second.
+    gen = constant_planar(3.0)
+    base = gen._evaluator
+
+    def evaluator(t):
+        s = np.array(base(t))
+        s[..., 0, 0] = np.where(t > nan_after, np.nan, s[..., 0, 0])
+        s[..., 0, 1] += np.where(t > skew_after, 1.0, 0.0)
+        return s
+
+    gen._evaluator = evaluator
+    for run in (integrate, integrate_stepwise):
+        with pytest.raises(IntegrationError, match=message):
+            run(gen, 0.0, 1.0, 1100)
+
+
+def test_numpy_trig_and_log2_match_math_module():
+    # Array and scalar generator calls, and stacked and single exponentials,
+    # agree bit for bit only because these hold.
+    t = np.linspace(0.0, 1.0, 200001)
+    for k in (1, 2, 3):
+        x = 2.0 * math.pi * k * t
+        assert np.array_equal(np.cos(x), [math.cos(v) for v in x])
+        assert np.array_equal(np.sin(x), [math.sin(v) for v in x])
+    rng = np.random.default_rng(7)
+    powers = 2.0 ** np.arange(1, 60)
+    norms = np.concatenate((np.exp(rng.uniform(0.0, 40.0, 200000)), powers,
+                            np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)))
+    assert np.array_equal(np.ceil(np.log2(norms)), [math.ceil(math.log2(v)) for v in norms])
+
+
+@pytest.mark.parametrize("kind", ["constant", "fourier", "sampled"])
+def test_generator_array_call_matches_scalar_calls(kind, rng):
+    # The 129-point grid is the one the definiteness certificate samples.
+    gen = _generator(kind, 4, rng)
+    times = np.concatenate((np.linspace(0.0, 1.0, 129), rng.random(1999), [-1e-13, 1.0 + 1e-13]))
+    expected = np.stack([gen(float(t)) for t in times])
+    assert np.array_equal(gen(times), expected)
+    assert np.array_equal(gen(times.reshape(-1, 2)), expected.reshape(-1, 2, 4, 4))
+    with pytest.raises(ValueError, match="time 1.5 outside"):
+        gen(np.array([0.5, 1.5, -2.0]))
+
+
+def test_fourier_evaluation_is_the_term_by_term_sum(rng):
+    # S0, then the cosine terms, then the sine terms, each weight a Python
+    # float from math.cos/math.sin of 2.0 * math.pi * k * t.
+    gen = random_negdef_fourier(4, rng, kmax=3)
+    s0, cos, sin = gen.stack[0], gen.stack[1:1 + gen.n_cos], gen.stack[1 + gen.n_cos:]
+    for t in np.concatenate(([0.0, 1.0], rng.random(200))):
+        expected = s0.copy()
+        for k, a in enumerate(cos, start=1):
+            expected += math.cos(2.0 * math.pi * k * t) * a
+        for k, b in enumerate(sin, start=1):
+            expected += math.sin(2.0 * math.pi * k * t) * b
+        assert np.array_equal(gen(t), expected)
+
+
+def test_direct_sum_of_sampled_matches_pointwise_join(rng):
+    a = _generator("sampled", 2, rng)
+    b = random_negdef_fourier(4, rng)
+    joined = direct_sum(a, b)
+    expected = np.stack([block_diag(a(t), b(t)) for t in np.linspace(0.0, 1.0, 2049)])
+    assert np.array_equal(joined.stack, expected)
 
 
 # -- evaluate ----------------------------------------------------------------

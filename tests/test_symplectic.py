@@ -133,3 +133,18 @@ def test_symplectic_expm_exactly_symplectic_at_any_norm(rng):
     for scale in (0.05, 1.0, 6.0):
         m = symplectic_expm(scale * (struct.J @ s))
         assert symplectic_residual(struct, m) <= 1e-11 * max(1.0, np.abs(m).max() ** 2)
+
+
+def test_symplectic_expm_stack_matches_per_matrix_calls(rng):
+    struct = standard_structure(2)
+    m = rng.normal(size=(3, 7, 4, 4))
+    s = 0.5 * (m + m.swapaxes(-1, -2))
+    # Norms from about 0.01 to 50, so the scaling exponents differ within the stack.
+    a = np.exp(rng.uniform(-5.0, 4.0, size=(3, 7)))[..., None, None] * (struct.J @ s)
+    stacked = symplectic_expm(a)
+    assert stacked.shape == a.shape
+    for i in np.ndindex(3, 7):
+        assert np.array_equal(stacked[i], symplectic_expm(a[i]))
+    a[1, 2, 0, 0] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        symplectic_expm(a)
