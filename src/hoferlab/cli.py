@@ -55,21 +55,24 @@ class _ParseFailure(Exception):
     pass
 
 
-def _checked_steps(raw, source: str) -> int:
+def _number(raw, what: str, cast=float):
     try:
-        steps = int(raw)
+        return cast(raw)
     except (TypeError, ValueError, OverflowError):
-        raise _ParseFailure(f"{source} must be an integer, got {raw!r}")
-    if steps < MIN_STEPS:
+        raise _ParseFailure(f"{what} must be a number, got {raw!r}") from None
+
+
+def _numbers(raw, what: str):
+    """A generator payload with its numbers converted; the model checks shapes."""
+    if isinstance(raw, dict):
+        return {k: v if k == "kind" else _numbers(v, f"{what}.{k}") for k, v in raw.items()}
+    return [_numbers(x, what) for x in raw] if isinstance(raw, list) else _number(raw, what)
+
+
+def _checked_steps(raw, source: str) -> int:
+    if (steps := _number(raw, source, int)) < MIN_STEPS:
         raise _ParseFailure(f"{source} must be at least {MIN_STEPS}, got {steps}")
     return steps
-
-
-def _default_steps() -> int:
-    raw = os.environ.get(STEPS_ENV_VAR)
-    if raw is None:
-        return DEFAULT_STEPS
-    return _checked_steps(raw, STEPS_ENV_VAR)
 
 
 def _load_document(path: str) -> tuple[dict, str]:
@@ -94,9 +97,8 @@ def _load_document(path: str) -> tuple[dict, str]:
     return doc, digest
 
 
-def _poly_curve(coeffs):
-    c = [float(x) for x in coeffs]
-    return lambda t: float(sum(ck * t**k for k, ck in enumerate(c)))
+def _poly_curve(coeffs: list[float]):
+    return lambda t: float(sum(ck * t**k for k, ck in enumerate(coeffs)))
 
 
 def _build_scenario(doc: dict) -> Scenario:
@@ -106,26 +108,27 @@ def _build_scenario(doc: dict) -> Scenario:
         raise _ParseFailure("'parameters' must be an object")
     try:
         if model == "sphere_height":
-            return sphere_height_scenario(float(params["lambda"]))
+            return sphere_height_scenario(_number(params["lambda"], "lambda"))
         if model == "sphere_profile":
-            coeffs = [float(x) for x in params["profile_coeffs"]]
+            coeffs = [_number(x, "profile_coeffs") for x in params["profile_coeffs"]]
             deriv = np.polynomial.polynomial.polyder(coeffs).tolist()
             return sphere_profile_scenario(
                 _poly_curve(coeffs),
                 _poly_curve(deriv),
-                quadrature_points=int(params.get("quadrature_points", 64)),
+                quadrature_points=_number(params.get("quadrature_points", 64),
+                                          "quadrature_points", int),
             )
         if model == "quadratic":
             return quadratic_scenario(
-                HessianPath.from_payload(params["s_max"]),
-                HessianPath.from_payload(params["s_min"]),
-                _poly_curve(params["max_curve_coeffs"]),
-                _poly_curve(params["min_curve_coeffs"]),
+                HessianPath.from_payload(_numbers(params["s_max"], "s_max")),
+                HessianPath.from_payload(_numbers(params["s_min"], "s_min")),
+                _poly_curve([_number(x, "max_curve_coeffs") for x in params["max_curve_coeffs"]]),
+                _poly_curve([_number(x, "min_curve_coeffs") for x in params["min_curve_coeffs"]]),
                 name=params.get("name", "quadratic"),
             )
     except KeyError as exc:
         raise _ParseFailure(f"model {model!r} is missing parameter {exc.args[0]!r}")
-    except (TypeError, json.JSONDecodeError) as exc:
+    except (TypeError, AttributeError, json.JSONDecodeError) as exc:
         raise _ParseFailure(f"malformed parameters for model {model!r}: {exc}")
     raise _ParseFailure(f"unknown model {model!r}")
 
@@ -136,7 +139,8 @@ def _doc_steps(doc: dict, override: int | None) -> int:
     solver = doc.get("solver", {})
     if isinstance(solver, dict) and "steps" in solver:
         return _checked_steps(solver["steps"], "solver.steps")
-    return _default_steps()
+    raw = os.environ.get(STEPS_ENV_VAR)
+    return DEFAULT_STEPS if raw is None else _checked_steps(raw, STEPS_ENV_VAR)
 
 
 def _emit(text: str, output: str | None) -> None:

@@ -13,11 +13,12 @@ it.
   it locates no crossing.
 * The crossings themselves (times, multiplicities, crossing forms) come
   from a scan of sigma_min(Psi(t) - I): node minima under a loose
-  slope-aware trigger are refined by bounded scalar minimization, and a
-  tight kernel threshold (1e-7 relative) decides the multiplicity.
-  Determinant sign changes are useless here because the generic crossing
-  is a touching zero.  The scan closes its count against the phase, so a
-  crossing the trigger skips is found or reported.
+  slope-aware trigger, taken over all nodes at once, are refined by bounded
+  scalar minimization (the identity at the path start is placed by the
+  endpoint rule, unrefined), and a tight kernel threshold (1e-7 relative)
+  decides the multiplicity.  Determinant sign changes are useless here: the
+  generic crossing is a touching zero.  The scan closes its count against
+  the phase, so a crossing the trigger skips is found or reported.
 """
 
 from __future__ import annotations
@@ -134,15 +135,15 @@ def _sigma_min_at(path: SymplecticPath, t: float) -> float:
     return _sigma_min(evaluate(path, t))
 
 
-def _v_refine(path: SymplecticPath, tau: float, lo: float, hi: float) -> tuple[float, float]:
-    """Sharpen a located minimum of sigma_min(Psi(t) - I).
+def _v_refine(path: SymplecticPath, tau: float, val: float, lo: float,
+              hi: float) -> tuple[float, float]:
+    """Sharpen a located minimum ``val`` = sigma_min(Psi(tau) - I).
 
     Near a touching zero the function is a V, |c (t - tau)| to leading
     order, so two straddling samples intersect at the vertex.  Bounded
     scalar minimization stalls around 1e-9 on the kink; two secant passes
     reach the 1e-10 location tolerance.
     """
-    val = _sigma_min_at(path, tau)
     for d in (1e-5, 1e-8):
         tl = max(lo, tau - d)
         tr = min(hi, tau + d)
@@ -199,7 +200,7 @@ def _locate(path: SymplecticPath, lo: float, hi: float) -> tuple[float, float]:
         return lo, _sigma_min_at(path, lo)
     res = minimize_scalar(lambda t: _sigma_min_at(path, t), bounds=(lo, hi),
                           method="bounded", options={"xatol": 1e-12})
-    return _v_refine(path, float(res.x), lo, hi)
+    return _v_refine(path, float(res.x), float(res.fun), lo, hi)
 
 
 def _classify(path: SymplecticPath, located: list[tuple[float, float]]) -> list[Crossing]:
@@ -219,6 +220,16 @@ def _classify(path: SymplecticPath, located: list[tuple[float, float]]) -> list[
     return [c for c in crossings if c is not None]
 
 
+def _candidates(fs: np.ndarray) -> np.ndarray:
+    """Ascending indices of the node minima of ``fs`` under the trigger gate."""
+    dl = np.diff(fs, prepend=fs[0])
+    dr = np.diff(fs, append=fs[-1])
+    # Slope-aware trigger: a crossing reached at speed v leaves a node minimum as large
+    # as v*h/2, which the raw threshold (relative to sigma_min + 1) misses on coarse grids.
+    gate = TRIGGER_RATIO * (fs + 1.0) + 2.0 * (np.abs(dl) + np.abs(dr))
+    return np.flatnonzero((dl <= 0) & (dr >= 0) & (fs <= gate))
+
+
 def _halves(crossings: list[Crossing], a: float, b: float) -> int:
     """Multiplicity sum in half-units; crossings at a or b count half."""
     return sum(c.multiplicity * (1 if min(c.time - a, b - c.time) <= ENDPOINT_TOL else 2)
@@ -229,36 +240,21 @@ def _scan_closed(path: SymplecticPath, a: float, b: float) -> list[Crossing]:
     """All crossings with tau in [a, b] (up to endpoint tolerance), sorted.
 
     The list always starts with the identity crossing when a is the path's
-    start time.  The located multiplicity is closed against the spectral
-    flow of the graph phase over [a, b]: when the phase shows more, every
-    node interval where the spectral count changes and no crossing lies is
-    refined, and a count that still falls short raises, as do crossings
-    closer than one grid step.
+    start time; the endpoint rule places it.  The located multiplicity is
+    closed against the spectral flow of the graph phase over [a, b]: when
+    the phase shows more, every node interval where the spectral count
+    changes and no crossing lies is refined, and a count that still falls
+    short raises, as do crossings closer than one grid step.
     """
     h = path.grid_spacing
     inner, ts, ends, phase = phase_window(path, a, b)
-    fs = np.empty_like(ts)
-    fs[0] = _sigma_min(ends[0])
-    fs[-1] = _sigma_min(ends[1])
-    if inner.any():
-        fs[1:-1] = path.sigma_min_nodes()[inner]
+    fs = np.concatenate(
+        ([_sigma_min(ends[0])], path.sigma_min_nodes()[inner], [_sigma_min(ends[1])]))
 
-    located: list[tuple[float, float]] = []
-    n = len(ts)
-    for i in range(n):
-        dl = fs[i] - fs[i - 1] if i > 0 else 0.0
-        dr = fs[i + 1] - fs[i] if i + 1 < n else 0.0
-        if i > 0 and dl > 0:
-            continue
-        if i + 1 < n and dr < 0:
-            continue
-        # Slope-aware trigger: the raw threshold is relative to the scale
-        # sigma_min + 1, and a crossing reached at speed v leaves a node
-        # minimum as large as v*h/2, which the raw threshold alone would
-        # miss on coarse grids.
-        gate = TRIGGER_RATIO * (fs[i] + 1.0) + 2.0 * (abs(dl) + abs(dr))
-        if fs[i] <= gate:
-            located.append(_locate(path, ts[max(i - 1, 0)], ts[min(i + 1, n - 1)]))
+    # From the path start, node 0 is the stored identity: the endpoint entry
+    # below places it at a, so a refinement of it would only be discarded.
+    located = [_locate(path, ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)])
+               for i in _candidates(fs) if i > 0 or a != path.t_start]
     # Explicit endpoint checks so flat zeros at a or b are never missed.  An
     # end where Psi has a kernel by `_crossing_at`'s rule, the rule rs_index
     # uses, wins its merge cluster, so that crossing sits at the end itself.

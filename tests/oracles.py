@@ -6,7 +6,8 @@ The two index references at the end derive the index by other algorithms
 than the package's spectral flow: from the crossing forms of the scan, and
 (in dimension 2) from the winding of the eigenvalue angle.
 `integrate_stepwise` is the per-step loop that the blocked `integrate` must
-reproduce bit for bit.
+reproduce bit for bit, and `trigger_candidates_loop` the per-node loop that
+the array trigger of the crossing scan must reproduce index for index.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from hoferlab import (
     evaluate,
     integrate,
 )
-from hoferlab.crossings import ENDPOINT_TOL, _scan_closed
+from hoferlab.crossings import ENDPOINT_TOL, TRIGGER_RATIO, _scan_closed
 from hoferlab.flows import MIN_STEPS, _magnus_exponent
 from hoferlab.symplectic import standard_structure, symplectic_expm
 
@@ -170,6 +171,28 @@ def integrate_stepwise(generator: HessianPath, t_start: float = 0.0, t_end: floa
             mats[k + 1] = psi
     return SymplecticPath(dim=d, t_start=t_start, t_end=t_end, times=times,
                           matrices=mats, generator=generator)
+
+
+def trigger_candidates_loop(fs: np.ndarray) -> list[int]:
+    """Reference for `crossings._candidates`: the per-node trigger loop of
+    the crossing scan, returning the node indices it sends to refinement."""
+    located = []
+    n = len(fs)
+    for i in range(n):
+        dl = fs[i] - fs[i - 1] if i > 0 else 0.0
+        dr = fs[i + 1] - fs[i] if i + 1 < n else 0.0
+        if i > 0 and dl > 0:
+            continue
+        if i + 1 < n and dr < 0:
+            continue
+        # Slope-aware trigger: the raw threshold is relative to the scale
+        # sigma_min + 1, and a crossing reached at speed v leaves a node
+        # minimum as large as v*h/2, which the raw threshold alone would
+        # miss on coarse grids.
+        gate = TRIGGER_RATIO * (fs[i] + 1.0) + 2.0 * (abs(dl) + abs(dr))
+        if fs[i] <= gate:
+            located.append(i)
+    return located
 
 
 def crossing_form_index(path, interval=None, policy: str = OPEN_OPEN) -> IndexValue:

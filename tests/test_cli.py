@@ -82,6 +82,42 @@ def test_verify_zero_lambda_rejected(tmp_path, capsys):
     assert "nonzero" in capsys.readouterr().err
 
 
+_POSITIVE = {"kind": "constant", "matrix": [[1.0, 0.0], [0.0, 1.0]]}
+_NEGATIVE = {"kind": "constant", "matrix": [[-1.0, 0.0], [0.0, -1.0]]}
+
+
+def _quadratic(**overrides):
+    params = {"s_max": _NEGATIVE, "s_min": _POSITIVE,
+              "max_curve_coeffs": [1.0], "min_curve_coeffs": [-1.0]}
+    return "quadratic", {**params, **overrides}
+
+
+@pytest.mark.parametrize("model, parameters", [
+    ("sphere_height", {"lambda": "abc"}),
+    ("sphere_profile", {"profile_coeffs": [0.0, 7.0], "quadrature_points": "x"}),
+    ("sphere_profile", {"profile_coeffs": [0, "a"]}),
+    _quadratic(max_curve_coeffs=["a"]),
+    _quadratic(s_max={"kind": "constant", "matrix": "abc"}),
+    _quadratic(s_max={"kind": "fourier", "s0": _NEGATIVE["matrix"],
+                      "cos": [[[0.0, "a"], [0.0, 0.0]]]}),
+    _quadratic(s_min="abc"),
+])
+def test_non_numeric_parameter_is_parse_error(tmp_path, capsys, model, parameters):
+    scn = write_scenario(tmp_path, model=model, parameters=parameters)
+    assert main(["verify", str(scn)]) == EXIT_PARSE
+    assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("s_max", [
+    {"kind": "constant", "matrix": [[-1.0, 0.0], [0.0]]},
+    {"kind": "constant", "matrix": [[-1.0, 0.0, 0.0]]},
+    {"kind": "constant", "matrix": [[-1.0, 0.5], [0.0, -1.0]]},
+])
+def test_malformed_matrix_stays_validation_error(tmp_path, s_max):
+    scn = write_scenario(tmp_path, model="quadratic", parameters=_quadratic(s_max=s_max)[1])
+    assert main(["verify", str(scn)]) == EXIT_VALIDATION
+
+
 @pytest.mark.parametrize("argv_tail, solver", [
     (["--steps", "4"], {"steps": 512}),
     ([], {"steps": "many"}),

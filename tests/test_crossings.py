@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hoferlab.crossings as crossings_module
 from hoferlab import (
     EndpointCrossingError,
     HessianPath,
@@ -30,6 +31,7 @@ from tests.oracles import (
     planar_winding_index,
     random_negdef_fourier,
     random_nondegenerate_negdef,
+    trigger_candidates_loop,
 )
 
 
@@ -105,6 +107,46 @@ def test_scans_leave_no_state_on_the_path():
     find_crossings(path, (0.0, 1.0))
     rs_index(path, interval=(0.0, 1.0), policy="rs_halves")
     assert set(vars(path)) == before
+
+
+def test_scan_refines_only_unknown_minima(monkeypatch):
+    # The identity at the path start is placed by the endpoint rule, so the
+    # one crossing of lam = 7 is the only refinement; a window starting at
+    # an interior node still refines that node when the trigger fires.
+    path = integrate(constant_planar(7.0), 0.0, 1.0, 512)
+    locate, evaluate = crossings_module._locate, crossings_module.evaluate
+    brackets, evaluations = [], []
+
+    def counting_locate(p, lo, hi):
+        brackets.append((float(lo), float(hi)))
+        return locate(p, lo, hi)
+
+    def counting_evaluate(p, t):
+        evaluations.append(t)
+        return evaluate(p, t)
+
+    monkeypatch.setattr(crossings_module, "_locate", counting_locate)
+    monkeypatch.setattr(crossings_module, "evaluate", counting_evaluate)
+    assert len(find_crossings(path, (0.0, 1.0))) == 1
+    assert len(brackets) == 1 and brackets[0][0] < TWO_PI / 7.0 < brackets[0][1]
+    assert len(evaluations) == 26
+
+    first_after = float(path.times[np.searchsorted(path.times, TWO_PI / 7.0)])
+    brackets.clear()
+    assert find_crossings(path, (first_after, 1.0)) == []
+    assert [lo for lo, _hi in brackets] == [first_after]
+
+
+_SIGMA_LEVELS = st.sampled_from([0.0, 1e-9, 1e-4, 1e-3, 1.001e-3, 0.01, 0.5, 1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SIGMA_LEVELS | st.floats(0.0, 4.0), min_size=2, max_size=24))
+def test_vectorized_trigger_matches_node_loop(values):
+    # Exact ties and plateaus come from the repeated levels; the gate and the
+    # slope tests must pick the same nodes, in the same order, as the loop.
+    fs = np.array(values)
+    assert crossings_module._candidates(fs).tolist() == trigger_candidates_loop(fs)
 
 
 def test_window_validation():
