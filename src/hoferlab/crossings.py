@@ -14,10 +14,11 @@ it.
 * The crossings themselves (times, multiplicities, crossing forms) come
   from a scan of sigma_min(Psi(t) - I): node minima under a loose
   slope-aware trigger, taken over all nodes at once, are refined by bounded
-  scalar minimization (the identity at the path start is placed by the
-  endpoint rule, unrefined), and a tight kernel threshold (1e-7 relative)
-  decides the multiplicity.  Determinant sign changes are useless here: the
-  generic crossing is a touching zero.  The scan closes its count against
+  Brent minimization (`_minimize_bounded`, a port of scipy's, so importing
+  the package loads no scipy module; the identity at the path start is
+  placed by the endpoint rule, unrefined), and a tight kernel threshold
+  (1e-7 relative) decides the multiplicity.  Determinant sign changes are
+  useless here: the generic crossing is a touching zero.  The scan closes its count against
   the phase, so a crossing the trigger skips is found or reported.
 """
 
@@ -27,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import CrossingResolutionError, EndpointCrossingError
 from .flows import SymplecticPath, evaluate, graph_angles, phase_window
@@ -194,13 +194,69 @@ def _counts(psis: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return (2 * whole + 2 * positive + kernel).astype(int), kernel
 
 
+def _sign(v: float) -> float:
+    # np.sign(v) + (v == 0): +1 for 0.0 and -0.0, nan for nan.
+    return 1.0 if v >= 0.0 else -1.0 if v < 0.0 else math.nan
+
+
+def _minimize_bounded(func, a: float, b: float, xatol: float = 1e-12,
+                      maxfun: int = 500) -> tuple[float, float]:
+    """(x, func(x)) at a local minimum of ``func`` on [a, b], by bounded Brent.
+
+    A port of `_minimize_scalar_bounded` from scipy.optimize (scipy 1.17;
+    optimize.py by Travis E. Oliphant, (c) the SciPy Developers, BSD-3-Clause;
+    R. P. Brent, "Algorithms for Minimization without Derivatives", 1973),
+    with the same expressions in the same order: the iterates, result and
+    call count equal `minimize_scalar(method="bounded")`.
+    """
+    sqrt_eps, golden_mean = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
+    xf = nfc = fulc = a + golden_mean * (b - a)
+    rat = e = 0.0
+    fx = ffulc = fnfc = func(xf)
+    num = 1
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if not abs(xf - xm) > (tol2 - 0.5 * (b - a)) or num >= maxfun:
+            return xf, fx
+        golden = True
+        if abs(e) > tol1:  # parabolic fit
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            p = -p if q > 0.0 else p
+            q, r, e = abs(q), e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign(xm - xf)
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + _sign(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+
 def _locate(path: SymplecticPath, lo: float, hi: float) -> tuple[float, float]:
     """(time, sigma_min) of the minimum of sigma_min(Psi(t) - I) on [lo, hi]."""
     if hi - lo <= 4.0 * TIME_TOL:
         return lo, _sigma_min_at(path, lo)
-    res = minimize_scalar(lambda t: _sigma_min_at(path, t), bounds=(lo, hi),
-                          method="bounded", options={"xatol": 1e-12})
-    return _v_refine(path, float(res.x), float(res.fun), lo, hi)
+    tau, val = _minimize_bounded(lambda t: _sigma_min_at(path, t), float(lo), float(hi))
+    return _v_refine(path, tau, val, lo, hi)
 
 
 def _classify(path: SymplecticPath, located: list[tuple[float, float]]) -> list[Crossing]:

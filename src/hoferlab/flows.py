@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import CrossingResolutionError, IntegrationError
 from .symplectic import standard_structure, symplectic_expm, symplectic_inverse
@@ -223,6 +222,7 @@ def _compile_fourier(stack, n_cos):
 
 
 def _compile_sampled(stack, n_cos):
+    from scipy.interpolate import CubicSpline  # lazy: scipy is most of the start-up time
     spline = CubicSpline(np.linspace(0.0, 1.0, len(stack)), stack, axis=0)
     # On knot interval i, S(t) - S(t_i) = sum_{j=1..3} c[3 - j, i] (t - t_i)^j,
     # symmetrized, with c[3, i] the knot value itself.
@@ -458,8 +458,9 @@ def integrate(generator: HessianPath, t_start: float = 0.0, t_end: float = 1.0,
         for lo in range(0, steps, _BLOCK_STEPS):
             starts = times[lo:min(lo + _BLOCK_STEPS, steps)]
             exps = symplectic_expm(_magnus_exponent(generator, J, starts, h))
-            for k, e in enumerate(exps, start=lo):
-                np.matmul(e, mats[k], out=mats[k + 1])
+            # np.dot: the product of np.matmul without its ufunc dispatch.
+            for e, a, b in zip(exps, mats[lo:], mats[lo + 1:]):
+                np.dot(e, a, out=b)
     return SymplecticPath(dim=d, t_start=t_start, t_end=t_end, times=times,
                           matrices=mats, generator=generator)
 

@@ -9,6 +9,7 @@ global optimization over a manifold is out of scope.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -60,7 +61,7 @@ def _sphere_certificate(profile: Callable[[float], float], shift: float,
     # 2D quadrature of the normalized height profile over the unit sphere in
     # cylindrical coordinates; the area element there is dtheta dz, so the
     # pushforward of the area measure to z in [-1, 1] is uniform.
-    zs, wz = np.polynomial.legendre.leggauss(z_nodes)
+    zs, wz = _gauss_legendre(z_nodes)
     theta_weight = 2.0 * math.pi / theta_nodes
     integral = 0.0
     for z, w in zip(zs, wz):
@@ -82,6 +83,8 @@ def sphere_height_scenario(lam: float) -> Scenario:
     |lam|, and the height already has zero mean.
     """
     lam = float(lam)
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
     if lam == 0.0:
         raise ValueError("lam must be nonzero (a constant Hamiltonian has no extremal pair)")
     scenario = sphere_profile_scenario(lambda z: lam * z, lambda z: lam)
@@ -102,6 +105,8 @@ def sphere_profile_scenario(profile: Callable[[float], float],
     value curves are the constants f(+-1) + c.  A derivative callable may be
     supplied; otherwise a central finite difference is used.
     """
+    if quadrature_points < 1:
+        raise ValueError(f"quadrature_points must be at least 1, got {quadrature_points}")
     if profile_derivative is None:
         def profile_derivative(z, _f=profile, _h=1e-6):
             lo = max(-1.0, z - _h)
@@ -151,8 +156,16 @@ def sphere_profile_scenario(profile: Callable[[float], float],
     )
 
 
-def _integrate_profile(profile: Callable[[float], float], n: int) -> float:
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only n-point Gauss-Legendre nodes and weights on [-1, 1]."""
     nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _integrate_profile(profile: Callable[[float], float], n: int) -> float:
+    nodes, weights = _gauss_legendre(n)
     return float(sum(w * profile(float(z)) for w, z in zip(weights, nodes)))
 
 

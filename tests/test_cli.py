@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import warnings
 
 import pytest
 
@@ -80,6 +82,24 @@ def test_verify_zero_lambda_rejected(tmp_path, capsys):
     scn = write_scenario(tmp_path, parameters={"lambda": 0.0})
     assert main(["verify", str(scn)]) == EXIT_VALIDATION
     assert "nonzero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_verify_non_finite_lambda_rejected(tmp_path, capsys, lam):
+    scn = write_scenario(tmp_path, parameters={"lambda": lam})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", str(scn)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: lam must be finite, got {lam}\n"
+
+
+@pytest.mark.parametrize("points", [0, -3])
+def test_profile_quadrature_points_below_one_rejected(tmp_path, capsys, points):
+    scn = write_scenario(tmp_path, model="sphere_profile",
+                         parameters={"profile_coeffs": [0.0, 7.0], "quadrature_points": points})
+    assert main(["verify", str(scn)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: quadrature_points must be at least 1, got {points}\n")
 
 
 _POSITIVE = {"kind": "constant", "matrix": [[1.0, 0.0], [0.0, 1.0]]}

@@ -149,6 +149,88 @@ def test_vectorized_trigger_matches_node_loop(values):
     assert crossings_module._candidates(fs).tolist() == trigger_candidates_loop(fs)
 
 
+_BRACKET_WIDTHS = st.one_of(
+    st.sampled_from([4.0 * crossings_module.TIME_TOL, 1e-9, 1e-6, 1e-3, 0.3]),
+    st.floats(4.0 * crossings_module.TIME_TOL, 0.3))
+# Vertex position in bracket units: inside, at either bound, or outside.
+_VERTEX = st.one_of(st.sampled_from([0.0, 1.0, -0.3, 1.3]), st.floats(-0.5, 1.5))
+
+
+def _bracket_function(shape, lo, width, vertex, slope):
+    c = lo + vertex * width
+    return {
+        "v": lambda t: abs(slope * (t - c)),
+        "parabola": lambda t: slope * (t - c) ** 2 + 0.25,
+        "constant": lambda t: 0.5,
+        "abs_sin": lambda t: abs(math.sin(7.0 * math.pi * (t - c) / width)),
+        "stepped_v": lambda t: round(slope * abs(t - c) / width) / 4.0,
+        "several_minima": lambda t: (math.cos(12.0 * math.pi * (t - lo) / width)
+                                     + 0.1 * slope * abs(t - c) / width),
+    }[shape]
+
+
+def _brent_both_ways(func, lo, hi):
+    """(x, fun, evaluation times) from scipy's bounded Brent and from the port."""
+    from scipy.optimize import minimize_scalar
+
+    seen = ([], [])
+
+    def counted(k):
+        return lambda t: seen[k].append(float(t)) or func(t)
+
+    res = minimize_scalar(counted(0), bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-12})
+    assert res.nfev == len(seen[0])
+    x, fun = crossings_module._minimize_bounded(counted(1), lo, hi)
+    return (float(res.x), float(res.fun), seen[0]), (x, fun, seen[1])
+
+
+@settings(max_examples=400, deadline=None)
+@given(shape=st.sampled_from(["v", "parabola", "constant", "abs_sin", "stepped_v",
+                              "several_minima"]),
+       lo=st.floats(0.0, 1.0), width=_BRACKET_WIDTHS, vertex=_VERTEX,
+       slope=st.floats(0.1, 100.0))
+def test_bounded_brent_port_matches_scipy(shape, lo, width, vertex, slope):
+    hi = lo + width
+    scipy_result, port = _brent_both_ways(
+        _bracket_function(shape, lo, width, vertex, slope), lo, hi)
+    assert port == scipy_result
+
+
+def test_bounded_brent_port_matches_scipy_on_seeded_brackets():
+    # Plateau ties, which steer the bracket updates, are rare per draw.
+    rng = np.random.default_rng(17)
+    for shape in ("v", "stepped_v", "several_minima"):
+        for _ in range(1000):
+            lo, width = rng.uniform(0.0, 1.0), 10.0 ** rng.uniform(-9.0, -0.5)
+            vertex, slope = rng.uniform(-0.3, 1.3), rng.uniform(0.5, 30.0)
+            func = _bracket_function(shape, lo, width, vertex, slope)
+            scipy_result, port = _brent_both_ways(func, lo, lo + width)
+            assert port == scipy_result
+
+
+def test_brent_sign_is_numpy_sign_with_zero_as_plus_one():
+    values = [0.0, -0.0, 5e-324, -5e-324, 2.5, -2.5, math.inf, -math.inf]
+    for v in values:
+        assert crossings_module._sign(v) == np.sign(v) + (v == 0)
+    assert math.isnan(crossings_module._sign(math.nan))
+
+
+@pytest.mark.parametrize("make, steps", [
+    (lambda: constant_planar(7.0), 512),
+    (lambda: constant_planar(13.0), 64),
+    (lambda: random_negdef_fourier(4, np.random.default_rng(5)), 384),
+], ids=["lam7", "lam13", "fourier_dim4"])
+def test_bounded_brent_port_matches_scipy_on_sigma_min(make, steps):
+    # The function `_locate` minimizes, on node brackets across the path.
+    path = integrate(make(), 0.0, 1.0, steps)
+    ts = path.times
+    for i in range(1, steps, max(1, steps // 48)):
+        scipy_result, port = _brent_both_ways(
+            lambda t: crossings_module._sigma_min_at(path, t), ts[i - 1], ts[i + 1])
+        assert port == scipy_result
+
+
 def test_window_validation():
     path = integrate(constant_planar(7.0), 0.0, 1.0, 256)
     with pytest.raises(ValueError):

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+import hoferlab
 from hoferlab import (
     HessianPath,
     IntegrationError,
@@ -140,6 +145,23 @@ def test_graph_phase_rate_is_bounded(rng):
             path = integrate(g, 0.0, 1.0, 2048)
             moves = np.angle(np.exp(1j * np.diff(path.phase_nodes())))
             assert np.abs(moves).max() <= dim * g.norm_bound * path.grid_spacing
+
+
+def test_scipy_loads_only_for_sampled_generators():
+    # scipy.optimize and scipy.interpolate are most of the start-up time of
+    # `hoferlab verify`; only the spline of a sampled generator needs them.
+    code = (
+        "import sys, numpy as np, hoferlab, hoferlab.cli\n"
+        "hoferlab.verify_theorem(hoferlab.sphere_height_scenario(7.0), steps=256)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "hoferlab.HessianPath.sampled([-np.eye(2)] * 5)\n"
+        "print('scipy.interpolate' in sys.modules)\n"
+    )
+    src = pathlib.Path(hoferlab.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.splitlines() == ["[]", "True"]
 
 
 # -- integrate ---------------------------------------------------------------

@@ -19,6 +19,7 @@ from hoferlab import (
     validate_ustilovsky,
     verify_theorem,
 )
+from hoferlab.models import _gauss_legendre
 from tests.oracles import TWO_PI, aliased_fourier, aliased_spline
 
 
@@ -61,7 +62,27 @@ def test_sphere_height_certificate():
     assert scenario.normalization_certificate.residual <= 1e-8
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_sphere_height_rejects_non_finite(lam):
+    with pytest.raises(ValueError, match="lam must be finite"):
+        sphere_height_scenario(lam)
+
+
 # -- sphere profile ----------------------------------------------------------------
+
+
+def test_profile_rejects_quadrature_points_below_one():
+    with pytest.raises(ValueError, match="quadrature_points must be at least 1, got 0"):
+        sphere_profile_scenario(lambda z: 7.0 * z, quadrature_points=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_gauss_legendre_rule_is_cached_read_only_leggauss(n):
+    nodes, weights = _gauss_legendre(n)
+    expected = np.polynomial.legendre.leggauss(n)
+    assert np.array_equal(nodes, expected[0]) and np.array_equal(weights, expected[1])
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    assert _gauss_legendre(n)[0] is nodes
 
 
 def test_profile_linear_matches_height():
