@@ -199,16 +199,16 @@ def _sign(v: float) -> float:
     return 1.0 if v >= 0.0 else -1.0 if v < 0.0 else math.nan
 
 
-def _minimize_bounded(func, a: float, b: float, xatol: float = 1e-12,
-                      maxfun: int = 500) -> tuple[float, float]:
+def _minimize_bounded(func, a: float, b: float) -> tuple[float, float]:
     """(x, func(x)) at a local minimum of ``func`` on [a, b], by bounded Brent.
 
     A port of `_minimize_scalar_bounded` from scipy.optimize (scipy 1.17;
     optimize.py by Travis E. Oliphant, (c) the SciPy Developers, BSD-3-Clause;
     R. P. Brent, "Algorithms for Minimization without Derivatives", 1973),
     with the same expressions in the same order: the iterates, result and
-    call count equal `minimize_scalar(method="bounded")`.
+    call count equal `minimize_scalar(method="bounded")` with `xatol` 1e-12.
     """
+    xatol, maxfun = 1e-12, 500
     sqrt_eps, golden_mean = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
     xf = nfc = fulc = a + golden_mean * (b - a)
     rat = e = 0.0
