@@ -56,10 +56,6 @@ _PHASE_SUBSTEPS_MAX = 64
 _BLOCK_STEPS = 512
 
 
-def _symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.swapaxes(-1, -2))
-
-
 def _require_symmetric(m: np.ndarray, what: str) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -69,7 +65,7 @@ def _require_symmetric(m: np.ndarray, what: str) -> np.ndarray:
     scale = max(1.0, float(np.abs(m).max()))
     if float(np.abs(m - m.T).max()) > _SYMMETRY_TOL * scale:
         raise ValueError(f"{what} is not symmetric")
-    return _symmetrize(m)
+    return 0.5 * (m + m.T)
 
 
 class HessianPath:
@@ -82,8 +78,8 @@ class HessianPath:
     * ``fourier``: ``[S0, A_1..A_K, B_1..B_L]`` with ``n_cos = K``, for
       S0 + sum_k A_k cos(2 pi k t) + sum_k B_k sin(2 pi k t);
     * ``sampled``: the values at m >= 4 uniform knots on [0, 1], joined by a
-      cubic spline and re-symmetrized after interpolation so noise cannot
-      break the symmetry invariant.
+      not-a-knot cubic spline fitted and evaluated entry by entry, so every
+      S(t) is exactly symmetric (see `_spline_coefficients`).
 
     Transforms map each matrix of the stack.  The evaluator, the
     definiteness tag and ``norm_bound`` are built once at construction and
@@ -221,15 +217,79 @@ def _compile_fourier(stack, n_cos):
     return evaluator, samples, lipschitz * 0.5 / (_CLASSIFY_GRID - 1)
 
 
+def _slope_system(x: np.ndarray):
+    """Diagonals (DL, D, DU) of the not-a-knot system for the knot slopes, as
+    scipy 1.17's ``CubicSpline`` builds them for m >= 4 knots x."""
+    dx = np.diff(x)
+    lower = np.concatenate((dx[1:], [x[-1] - x[-3]]))
+    diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
+    upper = np.concatenate(([x[2] - x[0]], dx[:-1]))
+    return lower, diag, upper
+
+
+def _spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Not-a-knot cubic spline through (x[i], y[i]) on m >= 4 uniform knots.
+
+    Returns ``c`` of shape (4, m - 1) + y.shape[1:], with
+    y(t) = c[0, i] + c[1, i] s + c[2, i] s^2 + c[3, i] s^3, s = t - x[i], on
+    interval i (scipy's ``c`` in reverse order).  A port of scipy 1.17's
+    ``CubicSpline(x, y, axis=0)`` (BSD-3-Clause) with its expressions in its
+    order, so the coefficients are the same bits: the slope system solved as
+    LAPACK ``dgtsv`` does without row interchanges, then the Hermite
+    coefficients of ``CubicHermiteSpline``.  On uniform knots ``dgtsv``
+    never interchanges (``|D[i]| >= |DL[i]|`` at every step), so its fill-in
+    diagonal stays zero; its term in the back substitution is dropped, which
+    could change only the sign of a zero slope.
+    """
+    dx = np.diff(x)
+    dxr = dx[:, None]
+    flat = y.reshape(len(x), -1)
+    slope = np.diff(flat, axis=0) / dxr
+    lower, diag, upper = (v.tolist() for v in _slope_system(x))
+    d0, d1 = upper[0], lower[-1]
+    b = np.empty_like(flat)
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    b[0] = ((dxr[0] + 2 * d0) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d0
+    b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
+    rows, tmp = list(b), np.empty_like(b[0])
+    for i in range(len(x) - 1):
+        fact = lower[i] / diag[i]
+        diag[i + 1] = diag[i + 1] - fact * upper[i]
+        rows[i + 1] -= np.multiply(fact, rows[i], out=tmp)
+    rows[-1] /= diag[-1]
+    for i in range(len(x) - 2, -1, -1):
+        rows[i] -= np.multiply(upper[i], rows[i + 1], out=tmp)
+        rows[i] /= diag[i]
+    t = (b[:-1] + b[1:] - 2 * slope) / dxr
+    # 0.0 + y: scipy's evaluation starts its sum at +0.0.
+    c = np.stack((0.0 + flat[:-1], b[:-1], (slope - b[:-1]) / dxr - t, t / dxr))
+    return c.reshape((4, len(x) - 1) + y.shape[1:])
+
+
 def _compile_sampled(stack, n_cos):
-    from scipy.interpolate import CubicSpline  # lazy: scipy is most of the start-up time
-    spline = CubicSpline(np.linspace(0.0, 1.0, len(stack)), stack, axis=0)
-    # On knot interval i, S(t) - S(t_i) = sum_{j=1..3} c[3 - j, i] (t - t_i)^j,
-    # symmetrized, with c[3, i] the knot value itself.
-    h = np.diff(spline.x)
-    norms = np.linalg.norm(spline.c[:3], 2, axis=(-2, -1))
-    slack = norms[2] * h + norms[1] * h**2 + norms[0] * h**3
-    return (lambda t: _symmetrize(spline(t))), stack[:-1], slack
+    x = np.linspace(0.0, 1.0, len(stack))
+    coef = _spline_coefficients(x, stack)
+    inner, left = x[1:-1], x[:-1]
+
+    def evaluator(t):
+        # scipy's PPoly evaluation: interval i with x[i] <= t < x[i + 1] (the
+        # last one for t = 1), then c0 + c1 s + c2 (s s) + c3 ((s s) s) summed
+        # left to right.  Each entry is computed alone from a symmetric
+        # stack, so S(t) is exactly symmetric.
+        i = np.searchsorted(inner, t, "right")
+        s = (t - left[i])[..., None, None]
+        ss = s * s
+        c0, c1, c2, c3 = (plane[i] for plane in coef)
+        value = c0 + c1 * s
+        value += c2 * ss
+        value += c3 * (ss * s)
+        return value
+
+    # On knot interval i, S(t) - S(t_i) = sum_{j=1..3} c[j, i] (t - t_i)^j.
+    h = np.diff(x)
+    norms = np.linalg.norm(coef[1:], 2, axis=(-2, -1))
+    slack = norms[0] * h + norms[1] * h**2 + norms[2] * h**3
+    return evaluator, stack[:-1], slack
 
 
 _COMPILERS = {

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import pathlib
@@ -10,6 +11,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 import hoferlab
@@ -23,7 +26,7 @@ from hoferlab import (
     standard_structure,
     symplectic_residual,
 )
-from hoferlab.flows import _magnus_exponent
+from hoferlab.flows import _magnus_exponent, _slope_system, _spline_coefficients
 from tests.oracles import (
     aliased_fourier,
     aliased_spline,
@@ -64,6 +67,75 @@ def test_sampled_path_symmetrizes(rng):
     s = path(0.123)
     assert np.abs(s - s.T).max() == 0.0
     assert np.allclose(s, -(5.123) * np.eye(2), atol=1e-6)
+    # The spline is fitted and evaluated entry by entry, so every value is
+    # exactly symmetric without re-symmetrizing.
+    for dim in (2, 4, 6):
+        path = HessianPath.sampled(_symmetric_stack(rng, 33, dim))
+        s = path(np.concatenate([rng.uniform(size=(512, 2)), grid[:, None].repeat(2, 1)]))
+        assert np.array_equal(s, s.swapaxes(-1, -2))
+
+
+def _symmetric_stack(rng, m: int, dim: int) -> np.ndarray:
+    a = rng.normal(size=(m, dim, dim))
+    return np.triu(a) + np.triu(a, 1).swapaxes(-1, -2)
+
+
+def _assert_spline_matches_scipy(gen: HessianPath, times) -> None:
+    """The in-package spline of a sampled generator has scipy's
+    ``CubicSpline(axis=0)`` coefficients and values, bit for bit."""
+    from scipy.interpolate import CubicSpline
+
+    x = np.linspace(0.0, 1.0, len(gen.stack))
+    spline = CubicSpline(x, gen.stack, axis=0)
+    assert np.array_equal(_spline_coefficients(x, gen.stack)[::-1], spline.c)
+    # Values are compared as bits, so the sign of a zero counts too.
+    scalars = (0.0, 1.0, float(x[1]), float(np.ravel(times[-1])[0]))
+    for t in (x, np.array([0.0, 1.0]), *times, *scalars):
+        assert np.array_equal(gen(t).view(np.int64), spline(t).view(np.int64))
+
+
+@pytest.mark.parametrize("knots", [4, 5, 17, 257, 1025, 2049])
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_sampled_spline_matches_scipy(rng, knots, dim):
+    gen = HessianPath.sampled(_symmetric_stack(rng, knots, dim))
+    # The time shapes of `integrate` (a block of Gauss nodes) and `evaluate`.
+    _assert_spline_matches_scipy(gen, [rng.uniform(size=(512, 2)), rng.uniform(size=2)])
+
+
+def test_sampled_spline_matches_scipy_on_model_stacks(rng):
+    grid = np.linspace(0.0, 1.0, 257)
+    warped = (1.0 + 0.3 * np.cos(2.0 * math.pi * grid))[:, None, None]
+    sampled = HessianPath.sampled(warped * np.kron(np.diag([-4.0, -9.5, -12.0]), np.eye(2)))
+    # -0.0 at t = 0 with negative derivatives: the value there is +0.0.
+    cubic = HessianPath.sampled(np.multiply.outer(grid**3 + grid**2 + grid, np.ones((2, 2))))
+    for gen in (aliased_spline(), sampled, sampled.negated(), cubic.negated(),
+                direct_sum(sampled, constant_planar(7.0))):
+        _assert_spline_matches_scipy(gen, [rng.uniform(size=(512, 2)), rng.uniform(size=2)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(knots=st.integers(4, 40), dim=st.sampled_from([2, 4, 6]),
+       scale=st.sampled_from([1e-6, 1.0, 1e6]), seed=st.integers(0, 2**32 - 1),
+       times=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
+def test_sampled_spline_matches_scipy_by_hypothesis(knots, dim, scale, seed, times):
+    rng = np.random.default_rng(seed)
+    gen = HessianPath.sampled(scale * _symmetric_stack(rng, knots, dim))
+    _assert_spline_matches_scipy(gen, [rng.uniform(size=(512, 2)), np.array(times)])
+
+
+def test_slope_system_needs_no_row_interchange():
+    # LAPACK dgtsv swaps rows i and i + 1 when |D[i]| < |DL[i]|; the port
+    # follows its no-swap branch only.  Eliminate every uniform grid of
+    # 4..4097 knots at once (padding rows keep D = 1, DL = DU = 0).
+    sizes = range(4, 4098)
+    n = sizes[-1]
+    lower, upper = np.zeros((2, n - 1, len(sizes)))
+    diag = np.ones((n, len(sizes)))
+    for k, m in enumerate(sizes):
+        lower[:m - 1, k], diag[:m, k], upper[:m - 1, k] = _slope_system(np.linspace(0.0, 1.0, m))
+    for i in range(n - 1):
+        assert (np.abs(diag[i]) >= np.abs(lower[i])).all()
+        diag[i + 1] -= lower[i] / diag[i] * upper[i]
 
 
 def test_negated_flips_tag():
@@ -147,21 +219,56 @@ def test_graph_phase_rate_is_bounded(rng):
             assert np.abs(moves).max() <= dim * g.norm_bound * path.grid_spacing
 
 
-def test_scipy_loads_only_for_sampled_generators():
-    # scipy.optimize and scipy.interpolate are most of the start-up time of
-    # `hoferlab verify`; only the spline of a sampled generator needs them.
-    code = (
-        "import sys, numpy as np, hoferlab, hoferlab.cli\n"
-        "hoferlab.verify_theorem(hoferlab.sphere_height_scenario(7.0), steps=256)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        "hoferlab.HessianPath.sampled([-np.eye(2)] * 5)\n"
-        "print('scipy.interpolate' in sys.modules)\n"
+def _run_fresh(code: str, *args: str) -> tuple[int, str]:
+    """Exit status of `code` in a fresh interpreter, and the list of scipy
+    modules loaded when it exits."""
+    prelude = (
+        "import atexit, sys\n"
+        "atexit.register(lambda: print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'scipy'), file=sys.stderr))\n"
     )
     src = pathlib.Path(hoferlab.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert run.stdout.splitlines() == ["[]", "True"]
+    run = subprocess.run([sys.executable, "-c", prelude + code, *args], env=env,
+                         capture_output=True, text=True)
+    return run.returncode, run.stderr.splitlines()[-1]
+
+
+def test_runtime_loads_no_scipy():
+    # The package needs only numpy at run time; scipy is a test dependency.
+    code = (
+        "import numpy as np, hoferlab, hoferlab.cli\n"
+        "from hoferlab import HessianPath, direct_sum, quadratic_scenario, verify_theorem\n"
+        "gen = HessianPath.sampled([-(5.0 + t) * np.eye(2) for t in np.linspace(0, 1, 9)])\n"
+        "direct_sum(gen, HessianPath.constant(-3.0 * np.eye(2)))(0.3)\n"
+        "scn = quadratic_scenario(gen, gen.negated(), lambda t: 1.0, lambda t: -1.0)\n"
+        "assert verify_theorem(scn, steps=256).verdict\n"
+        "assert verify_theorem(hoferlab.sphere_height_scenario(7.0), steps=256).verdict\n"
+    )
+    assert _run_fresh(code) == (0, "[]")
+
+
+def test_cli_verify_of_sampled_scenario_loads_no_scipy(tmp_path):
+    values = np.stack([-(6.0 + t) * np.eye(2) for t in np.linspace(0.0, 1.0, 5)])
+    scn = tmp_path / "sampled.json"
+    scn.write_text(json.dumps({
+        "schema_version": 1,
+        "model": "quadratic",
+        "parameters": {
+            "s_max": {"kind": "sampled", "values": values.tolist()},
+            "s_min": {"kind": "sampled", "values": (-values).tolist()},
+            "max_curve_coeffs": [1.0],
+            "min_curve_coeffs": [-1.0],
+        },
+        "solver": {"steps": 256},
+    }), encoding="utf-8")
+    # `hoferlab verify <file>` in a fresh process.
+    code = (
+        "import runpy\n"
+        "sys.argv = ['hoferlab', 'verify', sys.argv[1]]\n"
+        "runpy.run_module('hoferlab.cli', run_name='__main__')\n"
+    )
+    assert _run_fresh(code, str(scn)) == (0, "[]")
 
 
 # -- integrate ---------------------------------------------------------------
