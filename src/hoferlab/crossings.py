@@ -1,25 +1,23 @@
 """Crossing detection and Robbin-Salamon / Conley-Zehnder indices.
 
 A crossing is a time where Psi(tau) has eigenvalue 1, i.e. where the graph
-of Psi(tau) meets the diagonal Lagrangian.  Two independent algorithms read
-it.
+of Psi(tau) meets the diagonal Lagrangian.  The unitary W of that graph
+(`flows.graph_angles`) has eigenangles that pass 0 mod 2 pi exactly at
+crossings, upward where the crossing form is negative (Robbin-Salamon,
+"The Maslov index for paths", 1993; Cappell-Lee-Miller, "On the Maslov
+index", 1994).  Both algorithms read W.
 
-* The index is a spectral flow (Robbin-Salamon, "The Maslov index for
-  paths", 1993; Cappell-Lee-Miller, "On the Maslov index", 1994).  The
-  unitary W of the graph of Psi (`flows.graph_angles`) has eigenangles
-  that pass 0 mod 2 pi exactly at crossings, upward where the crossing form
-  is negative.  `rs_index` lifts their sum, the graph phase, across the
-  window (`flows.phase_window`) and takes eigenangles at the two ends only;
-  it locates no crossing.
-* The crossings themselves (times, multiplicities, crossing forms) come
-  from a scan of sigma_min(Psi(t) - I): node minima under a loose
-  slope-aware trigger, taken over all nodes at once, are refined by bounded
-  Brent minimization (`_minimize_bounded`, a port of scipy's, so importing
-  the package loads no scipy module; the identity at the path start is
-  placed by the endpoint rule, unrefined), and a tight kernel threshold
-  (1e-7 relative) decides the multiplicity.  Determinant sign changes are
-  useless here: the generic crossing is a touching zero.  The scan closes its count against
-  the phase, so a crossing the trigger skips is found or reported.
+* The index is a spectral flow: `rs_index` lifts the eigenangle sum, the
+  graph phase, across the window (`flows.phase_window`) and takes
+  eigenangles at the two ends only; it locates no crossing.
+* The scan certifies node intervals crossing-free from sigma_min(Psi_i - I)
+  at their ends and a bound on how fast `evaluate` moves (`_certified`).
+  For a definite generator each crossing is a transversal, one-way sign
+  change of eigenangles (Arnold, "Sturm theorems and symplectic geometry",
+  1985), so in the other intervals the angles that change sign, matched by
+  their order, are root-found with a port of Brent's zero (`_locate`), and
+  a kernel threshold (1e-7 relative) gives each root its multiplicity and
+  crossing form.  The multiplicities found must add up to the spectral flow.
 """
 
 from __future__ import annotations
@@ -30,7 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrossingResolutionError, EndpointCrossingError
-from .flows import SymplecticPath, evaluate, graph_angles, phase_window
+from .flows import (
+    INDEFINITE,
+    SymplecticPath,
+    evaluate,
+    graph_angles,
+    interpolant_bound,
+    phase_window,
+)
 
 __all__ = [
     "Crossing",
@@ -46,13 +51,18 @@ __all__ = [
 OPEN_OPEN = "open_open"
 RS_HALVES = "rs_halves"
 
-TRIGGER_RATIO = 1e-3
 KERNEL_RATIO = 1e-7
 TIME_TOL = 1e-10
 ENDPOINT_TOL = 1e-9
 _FORM_ZERO_RATIO = 1e-8
 # Largest disagreement, in turns, of eigvals and det on the graph unitary.
 _TURN_TOL = 1e-6
+# Brent's zero stops on brackets this narrow, far inside TIME_TOL.
+_ROOT_XTOL = 1e-13
+# A bisection certifies sigma_min above this floor (relative to ||Psi||,
+# above the rounding of one step product), keeping at most 64 pieces open.
+_ROUNDING = 1e-12
+_BISECT_PIECES = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,8 +122,9 @@ def crossing_form(s_at_tau: np.ndarray, kernel_basis: np.ndarray) -> tuple[int, 
     return (p, q)
 
 
-def _crossing_at(path: SymplecticPath, tau: float) -> Crossing | None:
-    psi = evaluate(path, tau)
+def _crossing_at(path: SymplecticPath, tau: float,
+                 psi: np.ndarray | None = None) -> Crossing | None:
+    psi = evaluate(path, tau) if psi is None else psi
     diff = psi - np.eye(path.dim)
     u, s, vh = np.linalg.svd(diff)
     scale = float(np.linalg.norm(psi, 2))
@@ -131,159 +142,168 @@ def _sigma_min(psi: np.ndarray) -> float:
     return float(np.linalg.svd(psi - np.eye(len(psi)), compute_uv=False)[-1])
 
 
-def _sigma_min_at(path: SymplecticPath, t: float) -> float:
-    return _sigma_min(evaluate(path, t))
-
-
-def _v_refine(path: SymplecticPath, tau: float, val: float, lo: float,
-              hi: float) -> tuple[float, float]:
-    """Sharpen a located minimum ``val`` = sigma_min(Psi(tau) - I).
-
-    Near a touching zero the function is a V, |c (t - tau)| to leading
-    order, so two straddling samples intersect at the vertex.  Bounded
-    scalar minimization stalls around 1e-9 on the kink; two secant passes
-    reach the 1e-10 location tolerance.
-    """
-    for d in (1e-5, 1e-8):
-        tl = max(lo, tau - d)
-        tr = min(hi, tau + d)
-        if tr - tl < 0.5 * d:
-            break
-        fl = _sigma_min_at(path, tl)
-        fr = _sigma_min_at(path, tr)
-        slope = (fl + fr) / (tr - tl)
-        if slope <= 0.0:
-            break
-        cand = (fl - fr + slope * (tl + tr)) / (2.0 * slope)
-        if not (tl < cand < tr):
-            break
-        fv = _sigma_min_at(path, cand)
-        if fv <= val:
-            tau, val = cand, fv
-    return tau, val
-
-
-def _counts(psis: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral counts, in half-units, and kernel dimensions of a stack of Psi.
-
-    With ``phases`` a lift Phi of the eigenangle sum of W, the count is
-    2 sum_j (#{k: 2 pi k < phi_j} + #{k: 2 pi k = phi_j} / 2) up to one
-    constant, i.e. 2 ((Phi - sum_j theta_j) / 2 pi + #{theta_j > 0})
-    + #kernel with theta_j the principal eigenangles.  The kernel is the k
-    angles nearest 0, with k by `_crossing_at`'s rule.  The spectral flow
-    from s to t is count(s) - count(t).
-
-    Any lift equals the eigenangle sum mod 2 pi (`phase_window` certifies
-    the lift), so the turn check only compares `eigvals` of W with `det` of
-    Z: it fires on eigenvalues too ill-conditioned to count, which a finer
-    grid does not fix.
-    """
-    diff = psis - np.eye(psis.shape[-1])
-    theta = graph_angles(diff)
+def _spectra(psis: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted principal eigenangles of W per Psi of the stack, and the whole
+    turns by which the lift ``phases`` exceeds their sum.  The lift is
+    certified, so the turn check compares `eigvals` of W with `det` of Z: it
+    fires on eigenvalues too ill-conditioned to count."""
+    theta = np.sort(graph_angles(psis - np.eye(psis.shape[-1])), axis=1)
     turns = (phases - theta.sum(axis=1)) / (2.0 * math.pi)
     whole = np.rint(turns)
     if np.abs(turns - whole).max() > _TURN_TOL:
         raise CrossingResolutionError(
             "eigvals and det of the graph unitary disagree: ill-conditioned eigenvalues"
         )
-    sigma = np.linalg.svd(diff, compute_uv=False)
-    norms = np.linalg.norm(psis, 2, axis=(1, 2))
-    kernel = (sigma < KERNEL_RATIO * norms[:, None]).sum(axis=1)
-    nearness = np.argsort(np.argsort(np.abs(theta), axis=1), axis=1)
-    positive = ((theta > 0.0) & (nearness >= kernel[:, None])).sum(axis=1)
-    return (2 * whole + 2 * positive + kernel).astype(int), kernel
+    return theta, whole.astype(int)
 
 
-def _sign(v: float) -> float:
-    # np.sign(v) + (v == 0): +1 for 0.0 and -0.0, nan for nan.
-    return 1.0 if v >= 0.0 else -1.0 if v < 0.0 else math.nan
+def _counts(theta: np.ndarray, whole: np.ndarray, psis: np.ndarray):
+    """Spectral counts in half-units, kernel dimensions, kernel masks and
+    sigma_min(Psi - I) of a stack of Psi, given its `_spectra`.
 
-
-def _minimize_bounded(func, a: float, b: float) -> tuple[float, float]:
-    """(x, func(x)) at a local minimum of ``func`` on [a, b], by bounded Brent.
-
-    A port of `_minimize_scalar_bounded` from scipy.optimize (scipy 1.17;
-    optimize.py by Travis E. Oliphant, (c) the SciPy Developers, BSD-3-Clause;
-    R. P. Brent, "Algorithms for Minimization without Derivatives", 1973),
-    with the same expressions in the same order: the iterates, result and
-    call count equal `minimize_scalar(method="bounded")` with `xatol` 1e-12.
+    With Phi a lift of the eigenangle sum of W, the count is
+    2 sum_j (#{k: 2 pi k < phi_j} + #{k: 2 pi k = phi_j} / 2) up to one
+    constant, i.e. 2 ((Phi - sum_j theta_j) / 2 pi + #{theta_j > 0})
+    + #kernel with theta_j the principal eigenangles.  The kernel is the k
+    angles nearest 0 (the mask), with k by `_crossing_at`'s rule.  The
+    spectral flow from s to t is count(s) - count(t).
     """
-    xatol, maxfun = 1e-12, 500
-    sqrt_eps, golden_mean = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
-    xf = nfc = fulc = a + golden_mean * (b - a)
-    rat = e = 0.0
-    fx = ffulc = fnfc = func(xf)
-    num = 1
-    while True:
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if not abs(xf - xm) > (tol2 - 0.5 * (b - a)) or num >= maxfun:
-            return xf, fx
-        golden = True
-        if abs(e) > tol1:  # parabolic fit
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            p = -p if q > 0.0 else p
-            q, r, e = abs(q), e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * _sign(xm - xf)
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-        x = xf + _sign(rat) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            a, b = (xf, b) if x >= xf else (a, xf)
-            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+    sigma = np.linalg.svd(psis - np.eye(psis.shape[-1]), compute_uv=False)
+    kernel = (sigma < KERNEL_RATIO * np.linalg.norm(psis, 2, axis=(1, 2))[:, None]).sum(axis=1)
+    marks = np.argsort(np.argsort(np.abs(theta), axis=1), axis=1) < kernel[:, None]
+    count = 2 * whole + 2 * ((theta > 0.0) & ~marks).sum(axis=1) + kernel
+    return count, kernel, marks, sigma[:, -1]
+
+
+def _certified(s_lo, s_hi, width, norm, bound, floor):
+    """Whether sigma_min(evaluate(t) - I) > floor ||evaluate(t)|| all over
+    an interval, from s_lo and s_hi, sigma_min(Psi - I) at its ends (arrays
+    or scalars).
+
+    `evaluate` steps across the interval from one node Psi_i, with
+    ||Psi_i|| <= ``norm`` = 1 + sigma_max(Psi_i - I).  With (slope, growth,
+    pade) from `flows.interpolant_bound`, sigma_min(exp(Omega) Psi_i - I)
+    moves at most slope * norm per unit time (sigma_min is 1-Lipschitz in
+    the matrix), and `evaluate` stays within pade * norm of exp(Omega) Psi_i.
+    So over the interval sigma_min(evaluate(t) - I) is at least
+    (s_lo + s_hi - norm (width slope + 4 pade)) / 2, while ||evaluate(t)||
+    <= (growth + pade) norm.  The floor term is doubled so that it also
+    covers the rounding of one step product.
+    """
+    slope, growth, pade = bound
+    return s_lo + s_hi > norm * (width * slope + 4.0 * (floor * growth + pade))
+
+
+def _brent_zero(f, xa: float, xb: float, fa: float, fb: float) -> float:
+    """A zero of ``f`` between xa and xb, given fa = f(xa) and fb = f(xb) of
+    opposite signs.
+
+    A port of `brentq` from scipy 1.17 (Zeros/brentq.c, BSD-3-Clause;
+    R. P. Brent, "Algorithms for Minimization without Derivatives", 1973)
+    with its expressions in its order: it calls f at the same points and
+    returns the same x as `brentq(f, xa, xb, xtol=1e-13)`, whose call count
+    includes fa and fb.  After 100 iterations it returns the last iterate,
+    as `brentq` does with ``disp=False``.
+    """
+    xtol, rtol = _ROOT_XTOL, 4.0 * np.finfo(float).eps
+    xpre, xcur, fpre, fcur = xa, xb, fa, fb
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
         else:
-            a, b = (x, b) if x < xf else (a, x)
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    return xcur
 
 
-def _locate(path: SymplecticPath, lo: float, hi: float) -> tuple[float, float]:
-    """(time, sigma_min) of the minimum of sigma_min(Psi(t) - I) on [lo, hi]."""
-    if hi - lo <= 4.0 * TIME_TOL:
-        return lo, _sigma_min_at(path, lo)
-    tau, val = _minimize_bounded(lambda t: _sigma_min_at(path, t), float(lo), float(hi))
-    return _v_refine(path, tau, val, lo, hi)
+def _locate(path: SymplecticPath, lo: tuple, hi: tuple) -> list[Crossing]:
+    """Crossings where eigenangles change sign between two samples (t, Psi,
+    sorted angles, whole turns, kernel marks) under a quarter turn apart.
+
+    Ranks map across by the turns (an angle passing pi moves from the top
+    rank to the bottom); marked angles belong to an endpoint crossing.  An
+    angle <= 0 at one end and > 0 at the other is root-found on its rank,
+    nearest 0 first, and a root of multiplicity m accounts for m of them.
+    """
+    (t0, psi0, th0, w0, m0), (t1, psi1, th1, w1, m1) = lo, hi
+    d, total0, seen = len(th0), float(th0.sum()), {t0: psi0, t1: psi1}
+
+    def angle(t, rank):
+        psi = seen[t] = evaluate(path, t)
+        theta = np.sort(graph_angles(psi - np.eye(d)))
+        moved = float(theta.sum()) - total0
+        rank += round((math.remainder(moved, 2.0 * math.pi) - moved) / (2.0 * math.pi))
+        return float(theta[min(max(rank, 0), d - 1)])
+
+    pairs = [(i, i + int(w1 - w0)) for i in range(d)]
+    pairs = [(i, j) for i, j in pairs if 0 <= j < d and not (m0[i] or m1[j])]
+    found = []
+    for group in ([p for p in pairs[::-1] if th0[p[0]] <= 0.0 < th1[p[1]]],
+                  [p for p in pairs if th1[p[1]] <= 0.0 < th0[p[0]]]):
+        used = 0
+        for i, j in group:
+            if used:
+                used -= 1
+                continue
+            tau = _brent_zero(lambda t, i=i: angle(t, i), t0, t1, th0[i], th1[j])
+            if (c := _crossing_at(path, tau, seen.get(tau))) is not None:
+                found.append(c)
+                used = c.multiplicity - 1
+    return found
 
 
-def _classify(path: SymplecticPath, located: list[tuple[float, float]]) -> list[Crossing]:
-    """Crossings at the located minima, one per cluster of copies."""
-    # Copies of one zero re-located from overlapping brackets land within
-    # the merge radius, far below any usable grid step, so separable
-    # crossings never merge.
-    merge_radius = 1e-6
-    merged: list[tuple[float, float]] = []
-    for tau, val in sorted(located):
-        if merged and tau - merged[-1][0] <= merge_radius:
-            if val < merged[-1][1]:
-                merged[-1] = (tau, val)
-            continue
-        merged.append((tau, val))
-    crossings = [_crossing_at(path, tau) for tau, _val in merged]
-    return [c for c in crossings if c is not None]
+def _bisect(path: SymplecticPath, runs: list, lo: float, hi: float, s_lo: float,
+            s_hi: float, norm: float, bound) -> None:
+    """Add to ``runs`` the pieces of [lo, hi] where no eigenangle sign
+    change shows a crossing and none can be ruled out.
 
-
-def _candidates(fs: np.ndarray) -> np.ndarray:
-    """Ascending indices of the node minima of ``fs`` under the trigger gate."""
-    dl = np.diff(fs, prepend=fs[0])
-    dr = np.diff(fs, append=fs[-1])
-    # Slope-aware trigger: a crossing reached at speed v leaves a node minimum as large
-    # as v*h/2, which the raw threshold (relative to sigma_min + 1) misses on coarse grids.
-    gate = TRIGGER_RATIO * (fs + 1.0) + 2.0 * (np.abs(dl) + np.abs(dr))
-    return np.flatnonzero((dl <= 0) & (dr >= 0) & (fs <= gate))
+    Pieces are halved until `_certified`, with the rounding floor, clears
+    them or they are narrower than 2 TIME_TOL, so that the middle of a
+    narrow piece is within TIME_TOL of all of it.  Adjacent narrow pieces
+    join into one run, across node boundaries too.
+    """
+    live = [(lo, hi, s_lo, s_hi)]
+    while live:
+        if len(live) > _BISECT_PIECES:
+            raise CrossingResolutionError(
+                f"bisection keeps {len(live)} pieces of [{lo:.6f}, {hi:.6f}] open; refine steps")
+        split = []
+        for left, right, s_left, s_right in live:
+            if _certified(s_left, s_right, right - left, norm, bound, _ROUNDING):
+                continue
+            if right - left >= 2.0 * TIME_TOL:
+                mid = 0.5 * (left + right)
+                s_mid = _sigma_min(evaluate(path, mid))
+                split += [(left, mid, s_left, s_mid), (mid, right, s_mid, s_right)]
+            elif runs and runs[-1][1] == left:
+                runs[-1][1] = right
+            else:
+                runs.append([left, right])
+        live = split
 
 
 def _halves(crossings: list[Crossing], a: float, b: float) -> int:
@@ -295,43 +315,70 @@ def _halves(crossings: list[Crossing], a: float, b: float) -> int:
 def _scan_closed(path: SymplecticPath, a: float, b: float) -> list[Crossing]:
     """All crossings with tau in [a, b] (up to endpoint tolerance), sorted.
 
-    The list always starts with the identity crossing when a is the path's
-    start time; the endpoint rule places it.  The located multiplicity is
-    closed against the spectral flow of the graph phase over [a, b]: when
-    the phase shows more, every node interval where the spectral count
-    changes and no crossing lies is refined, and a count that still falls
-    short raises, as do crossings closer than one grid step.
+    A window end where Psi has a kernel by `_crossing_at`'s rule is a
+    crossing at the end itself, so the list starts with the identity when a
+    is the path's start.  Node intervals that `_certified` does not clear go
+    to `_locate`, on the sub-steps where `phase_window` cuts a step.  For an
+    indefinite generator, opposite passages can cancel, so an interval with
+    no sign change is bisected (`_bisect`) when, at both ends, unmarked
+    angles lie on both sides of 0 within the reach of one step (each angle
+    moves at most dim * norm_bound per unit time).  The located
+    multiplicities must equal the spectral flow of the phase over [a, b]
+    (for an indefinite generator, reach it), and crossings closer than one
+    grid step raise.
     """
     h = path.grid_spacing
-    inner, ts, ends, phase = phase_window(path, a, b)
-    fs = np.concatenate(
-        ([_sigma_min(ends[0])], path.sigma_min_nodes()[inner], [_sigma_min(ends[1])]))
+    inner, ts, ends, phase, subs = phase_window(path, a, b)
+    last, nodes = len(ts) - 1, np.flatnonzero(inner)
+    count, kernel, end_marks, end_sigma = _counts(*_spectra(ends, phase[[0, -1]]), ends)
+    sigma = np.concatenate(([end_sigma[0]], path.sigma_min_nodes()[inner], [end_sigma[1]]))
+    # `evaluate` steps across each sample interval from the node before its middle.
+    base = np.searchsorted(path.times, 0.5 * (ts[:-1] + ts[1:]), "right") - 1
+    norms, bound, widths = 1.0 + path.sigma_max_nodes()[base], interpolant_bound(path), np.diff(ts)
+    open_ = np.flatnonzero(~_certified(sigma[:-1], sigma[1:], widths, norms, bound, KERNEL_RATIO))
 
-    # From the path start, node 0 is the stored identity: the endpoint entry
-    # below places it at a, so a refinement of it would only be discarded.
-    located = [_locate(path, ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)])
-               for i in _candidates(fs) if i > 0 or a != path.t_start]
-    # Explicit endpoint checks so flat zeros at a or b are never missed.  An
-    # end where Psi has a kernel by `_crossing_at`'s rule, the rule rs_index
-    # uses, wins its merge cluster, so that crossing sits at the end itself.
-    for t, f, psi in ((a, fs[0], ends[0]), (b, fs[-1], ends[1])):
-        located.append((float(t), -1.0 if f < KERNEL_RATIO * np.linalg.norm(psi, 2) else f))
-    crossings = _classify(path, located)
+    # Samples: both ends of each open interval, and the window ends.
+    picked = np.zeros(len(ts), dtype=bool)
+    picked[[0, last]] = True
+    picked[open_] = picked[open_ + 1] = True
+    picks = np.flatnonzero(picked)
+    psis = np.stack([ends[0] if k == 0 else ends[1] if k == last else path.matrices[nodes[k - 1]]
+                     for k in picks])
+    theta, whole = _spectra(psis, phase[picks])
+    marks = np.zeros(theta.shape, dtype=bool)
+    marks[[0, -1]] = end_marks
+    row = {k: r for r, k in enumerate(picks.tolist())}
 
-    count, _kernel = _counts(ends, phase[[0, -1]])
-    flow = abs(int(count[1] - count[0]))
-    if _halves(crossings, a, b) < flow:
-        node_count, _kernel = _counts(
-            np.concatenate((ends[:1], path.matrices[inner], ends[1:])), phase)
-        for i in np.flatnonzero(node_count[1:] != node_count[:-1]):
-            lo, hi = float(ts[i]), float(ts[i + 1])
-            if not any(lo <= c.time <= hi for c in crossings):
-                located.append(_locate(path, lo, hi))
-        crossings = _classify(path, located)
-        if (found := _halves(crossings, a, b)) < flow:
-            raise CrossingResolutionError(
-                f"the scan locates {found} of the {flow} half-units of crossings that "
-                f"the graph phase shows on [{a:.6f}, {b:.6f}]; refine steps")
+    crossings = [_crossing_at(path, t, psi) for t, psi, k in zip((a, b), ends, kernel) if k]
+    definite, runs = path.generator.definiteness != INDEFINITE, []
+    for k in open_.tolist():
+        samples = [(ts[j], psis[row[j]], theta[row[j]], whole[row[j]], marks[row[j]])
+                   for j in (k, k + 1)]
+        if k in subs:
+            times, sub_psis, sub_phase = subs[k]
+            sub_theta, sub_whole = _spectra(sub_psis, sub_phase)
+            unmarked = np.zeros(sub_theta.shape, dtype=bool)
+            samples[1:1] = zip(times, sub_psis, sub_theta, sub_whole, unmarked)
+        located = [c for lo, hi in zip(samples, samples[1:]) for c in _locate(path, lo, hi)]
+        reach = path.dim * path.generator.norm_bound * widths[k]
+        near = [s[2][~s[4] & (np.abs(s[2]) <= reach)] for s in (samples[0], samples[-1])]
+        if not (located or definite) and all((v <= 0).any() and (v >= 0).any() for v in near):
+            _bisect(path, runs, ts[k], ts[k + 1], sigma[k], sigma[k + 1], norms[k], bound)
+        crossings += located
+    # `_crossing_at` decides at the middle of each run of bisection pieces.
+    crossings += [c for lo, hi in runs if (c := _crossing_at(path, 0.5 * (lo + hi))) is not None]
+    crossings.sort(key=lambda c: c.time)
+    # Roots closer than TIME_TOL are one crossing: the angles of a multiple
+    # eigenvalue at a sample can straddle 0 by rounding, and then one of
+    # them is root-found on each side of it.
+    crossings = [c for c, prev in zip(crossings, [None, *crossings])
+                 if prev is None or c.time - prev.time > TIME_TOL]
+
+    flow, found = abs(int(count[1] - count[0])), _halves(crossings, a, b)
+    if found < flow or (definite and found != flow):
+        raise CrossingResolutionError(
+            f"the scan locates {found} half-units of crossings where the graph phase "
+            f"shows {flow} on [{a:.6f}, {b:.6f}]; refine steps")
     for left, right in zip(crossings, crossings[1:]):
         if right.time - left.time < h:
             raise CrossingResolutionError(
@@ -379,8 +426,8 @@ def rs_index(path: SymplecticPath, interval: tuple[float, float] | None = None,
     lo, hi = max(a, path.t_start), min(b, path.t_end)
     if policy == OPEN_OPEN and abs(a - path.t_start) <= ENDPOINT_TOL:
         lo = min(float(path.times[1]), hi)
-    _inner, _ts, ends, phase = phase_window(path, lo, hi)
-    count, kernel = _counts(ends, phase[[0, -1]])
+    _inner, _ts, ends, phase, _subs = phase_window(path, lo, hi)
+    count, kernel, _marks, _sigma = _counts(*_spectra(ends, phase[[0, -1]]), ends)
     if policy == OPEN_OPEN and kernel.any():
         where = hi if kernel[1] else lo
         raise EndpointCrossingError(

@@ -33,6 +33,7 @@ __all__ = [
     "graph_phase",
     "graph_angles",
     "phase_window",
+    "interpolant_bound",
 ]
 
 NEGATIVE_DEFINITE = "negative_definite"
@@ -82,10 +83,11 @@ class HessianPath:
       S(t) is exactly symmetric (see `_spline_coefficients`).
 
     Transforms map each matrix of the stack.  The evaluator, the
-    definiteness tag and ``norm_bound`` are built once at construction and
-    hold for every t in [0, 1] (see `_certified_spectrum`): a generator whose
-    definiteness cannot be certified is tagged indefinite, and
-    ||S(t)||_2 <= norm_bound.
+    definiteness tag, ``norm_bound`` and ``slope_bound`` are built once at
+    construction and hold for every t in [0, 1] (see `_certified_spectrum`):
+    a generator whose definiteness cannot be certified is tagged indefinite,
+    ||S(t)||_2 <= norm_bound and ||S'(t)||_2 <= slope_bound (the crossing
+    scan's gate reads both, see `interpolant_bound`).
     """
 
     def __init__(self, kind: str, stack, n_cos: int = 0):
@@ -105,7 +107,8 @@ class HessianPath:
         self.dim = self.stack.shape[1]
         if self.dim < 2 or self.dim % 2 != 0:
             raise ValueError(f"phase-space dimension must be even and >= 2, got {self.dim}")
-        self._evaluator, samples, slack = _COMPILERS[kind](self.stack, self.n_cos)
+        compiled = _COMPILERS[kind](self.stack, self.n_cos)
+        self._evaluator, samples, slack, self.slope_bound = compiled
         self.definiteness, self.norm_bound = _certified_spectrum(samples, slack)
 
     # -- constructors --------------------------------------------------
@@ -184,13 +187,14 @@ def _fourier_parts(stack: np.ndarray, n_cos: int):
 
 
 # Each compiler returns the evaluator t -> S(t) for a float array t of any
-# shape, sample matrices S(t_i) and a slack (scalar or one per sample) such
-# that every t in [0, 1] has a sample with ||S(t) - S(t_i)||_2 <= slack_i.
+# shape, sample matrices S(t_i), a slack (scalar or one per sample) such
+# that every t in [0, 1] has a sample with ||S(t) - S(t_i)||_2 <= slack_i,
+# and a bound on ||S'(t)||_2 over [0, 1].
 
 
 def _compile_constant(stack, n_cos):
     m = stack[0]
-    return (lambda t: np.ones(t.shape + (1, 1)) * m), stack, 0.0
+    return (lambda t: np.ones(t.shape + (1, 1)) * m), stack, 0.0, 0.0
 
 
 def _compile_fourier(stack, n_cos):
@@ -214,7 +218,7 @@ def _compile_fourier(stack, n_cos):
     lipschitz = 2.0 * math.pi * float(k[1:] @ np.linalg.norm(stack[1:], 2, axis=(1, 2)))
     grid = np.linspace(0.0, 1.0, _CLASSIFY_GRID)
     samples = evaluator(grid)
-    return evaluator, samples, lipschitz * 0.5 / (_CLASSIFY_GRID - 1)
+    return evaluator, samples, lipschitz * 0.5 / (_CLASSIFY_GRID - 1), lipschitz
 
 
 def _slope_system(x: np.ndarray):
@@ -289,7 +293,8 @@ def _compile_sampled(stack, n_cos):
     h = np.diff(x)
     norms = np.linalg.norm(coef[1:], 2, axis=(-2, -1))
     slack = norms[0] * h + norms[1] * h**2 + norms[2] * h**3
-    return evaluator, stack[:-1], slack
+    slope = norms[0] + 2.0 * norms[1] * h + 3.0 * norms[2] * h**2
+    return evaluator, stack[:-1], slack, float(slope.max())
 
 
 _COMPILERS = {
@@ -351,8 +356,10 @@ class SymplecticPath:
     """Monodromy path Psi(t) with Psi(t_start) = I and dense evaluation.
 
     Node matrices are validated at construction: finite entries, unit start,
-    symplectic residual and determinant defect both below 1e-9.  Instances
-    are immutable by convention and safe to share across threads.
+    symplectic residual and determinant defect both below 1e-9.  It keeps
+    sigma_min and sigma_max of Psi_i - I (one SVD per node), which certify
+    node intervals for the crossing scan, and the graph phase for the
+    spectral flow.  Instances are immutable by convention and thread-safe.
     """
 
     dim: int
@@ -364,6 +371,7 @@ class SymplecticPath:
     max_symplectic_residual: float = field(init=False)
     max_det_error: float = field(init=False)
     _sigma_nodes: np.ndarray = field(init=False, repr=False)
+    _sigma_max_nodes: np.ndarray = field(init=False, repr=False)
     _phase_nodes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -384,7 +392,8 @@ class SymplecticPath:
         if self.max_det_error > _NODE_RESIDUAL_TOL:
             raise IntegrationError(f"determinant defect {self.max_det_error:.3e} exceeds 1e-9")
         diff = self.matrices - np.eye(self.dim)
-        self._sigma_nodes = np.linalg.svd(diff, compute_uv=False)[:, -1]
+        sigma = np.linalg.svd(diff, compute_uv=False)
+        self._sigma_nodes, self._sigma_max_nodes = sigma[:, -1], sigma[:, 0]
         self._phase_nodes = graph_phase(diff)
 
     @property
@@ -394,6 +403,10 @@ class SymplecticPath:
     def sigma_min_nodes(self) -> np.ndarray:
         """sigma_min(Psi(t_i) - I) at every node, computed at construction."""
         return self._sigma_nodes
+
+    def sigma_max_nodes(self) -> np.ndarray:
+        """sigma_max(Psi(t_i) - I) at every node, so ||Psi(t_i)||_2 <= 1 + it."""
+        return self._sigma_max_nodes
 
     def phase_nodes(self) -> np.ndarray:
         """`graph_phase` at every node, computed at construction."""
@@ -431,14 +444,16 @@ def _principal(x: np.ndarray) -> np.ndarray:
 
 
 def phase_window(path: SymplecticPath, a: float, b: float):
-    """Node mask, sample times (a, the nodes inside, b), Psi(a) and Psi(b),
-    and a continuous lift of `graph_phase` at the samples.
+    """Node mask, sample times ts (a, the nodes inside, b), Psi(a) and
+    Psi(b), a continuous lift of `graph_phase` at the samples, sub-steps.
 
     The phase moves by at most dim ||S(t)||_2 per unit time (its derivative
     is 2 tr((I + Psi^T Psi)^{-1} Psi^T S Psi), and the singular values s,
     1/s of a symplectic Psi give weights s^2 / (1 + s^2) summing to dim/2).
     A step where this bound, with ``norm_bound``, reaches a quarter turn is
-    cut into sub-steps by `evaluate`, so no principal difference aliases.
+    cut into sub-steps by `evaluate`, so no principal difference aliases;
+    the sub-steps map each cut step i, [ts[i], ts[i + 1]], to the inner
+    times, their Psi and their lifted phases.
     """
     inner = (path.times > a + 1e-14) & (path.times < b - 1e-14)
     ts = np.concatenate(([a], path.times[inner], [b]))
@@ -452,17 +467,47 @@ def phase_window(path: SymplecticPath, a: float, b: float):
             f"step; refine steps")
     steps = _principal(np.diff(raw))
     worst = np.abs(steps[parts == 0]).max(initial=0.0)
+    subs = {}
     for i in np.flatnonzero(parts):
-        sub = [evaluate(path, t) for t in np.linspace(ts[i], ts[i + 1], int(parts[i]) + 2)[1:-1]]
+        times = np.linspace(ts[i], ts[i + 1], int(parts[i]) + 2)[1:-1]
+        psis = np.stack([evaluate(path, t) for t in times])
         moves = _principal(np.diff(np.concatenate(
-            (raw[i:i + 1], graph_phase(np.stack(sub) - np.eye(path.dim)), raw[i + 1:i + 2]))))
+            (raw[i:i + 1], graph_phase(psis - np.eye(path.dim)), raw[i + 1:i + 2]))))
         worst = max(worst, np.abs(moves).max())
         steps[i] = moves.sum()
+        subs[int(i)] = (times, psis, np.cumsum(moves[:-1]))
     if worst >= _QUARTER_TURN:
         raise CrossingResolutionError(
             f"graph phase moves by {worst:.3f} rad in one sample step (limit pi/2); "
             f"refine steps")
-    return inner, ts, ends, raw[0] + np.concatenate(([0.0], np.cumsum(steps)))
+    lift = raw[0] + np.concatenate(([0.0], np.cumsum(steps)))
+    return inner, ts, ends, lift, {i: (t, p, lift[i] + m) for i, (t, p, m) in subs.items()}
+
+
+def interpolant_bound(path: SymplecticPath) -> tuple[float, float, float]:
+    """(slope, growth, pade): how far `evaluate` can move within one step.
+
+    Between nodes evaluate(t) = F(Omega(s)) Psi_i, s = t - t_i <= h, with
+    Omega(s) = (s/2)(A_1 + A_2) + (sqrt(3)/12) s^2 [A_2, A_1],
+    A_k = J S(t_i + c_k s), and F the scaled Pade map of `symplectic_expm`.
+    With S, L the generator's ``norm_bound`` and ``slope_bound``,
+    ||Omega|| <= w = h S + (sqrt(3)/6) h^2 S^2 and ||Omega'|| <=
+    S + h L/2 + (sqrt(3)/3) h S^2 + (sqrt(3)/6) h^2 S L, so exp(Omega) Psi_i
+    moves at most slope = ||Omega'|| e^w times ||Psi_i|| per unit time, and
+    growth = e^w bounds ||exp(Omega)||.  The (3,3) Pade map has
+    ||r(X) - e^X|| <= 2.8e-5 ||X||^7 for ||X|| <= 1 (the absolute sum of its
+    Taylor error terms), so ||F(Omega) - exp(Omega)|| <= pade =
+    3e-5 w^7 e^w after squaring.  Past w = 1 the slope is infinite.
+    """
+    h = float(np.diff(path.times).max())  # the longest step, for restricted paths too
+    s, lip = path.generator.norm_bound, path.generator.slope_bound
+    w = h * s + (math.sqrt(3.0) / 6.0) * h * h * s * s
+    if not w <= 1.0:
+        return math.inf, math.inf, math.inf
+    growth = math.exp(w)
+    rate = (s + 0.5 * h * lip + (math.sqrt(3.0) / 3.0) * h * s * s
+            + (math.sqrt(3.0) / 6.0) * h * h * s * lip)
+    return rate * growth, growth, 3e-5 * w**7 * growth
 
 
 def _magnus_exponent(generator: HessianPath, J: np.ndarray, t0, h: float) -> np.ndarray:

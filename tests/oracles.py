@@ -2,12 +2,12 @@
 
 The rotation oracles are built from cos/sin only, so they are independent
 of every code path in the package (no matrix exponentials, no SVD scans).
-The two index references at the end derive the index by other algorithms
-than the package's spectral flow: from the crossing forms of the scan, and
-(in dimension 2) from the winding of the eigenvalue angle.
+The three index references at the end derive the index by other algorithms
+than the package's spectral flow: from the crossing forms of the scan, from
+the inertia of the Cayley transform (on windows clear of eigenvalue -1),
+and (in dimension 2) from the winding of the eigenvalue angle.
 `integrate_stepwise` is the per-step loop that the blocked `integrate` must
-reproduce bit for bit, and `trigger_candidates_loop` the per-node loop that
-the array trigger of the crossing scan must reproduce index for index.
+reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from hoferlab import (
     evaluate,
     integrate,
 )
-from hoferlab.crossings import ENDPOINT_TOL, TRIGGER_RATIO, _scan_closed
+from hoferlab.crossings import ENDPOINT_TOL, _scan_closed
 from hoferlab.flows import MIN_STEPS, _magnus_exponent
 from hoferlab.symplectic import standard_structure, symplectic_expm
 
@@ -173,28 +173,6 @@ def integrate_stepwise(generator: HessianPath, t_start: float = 0.0, t_end: floa
                           matrices=mats, generator=generator)
 
 
-def trigger_candidates_loop(fs: np.ndarray) -> list[int]:
-    """Reference for `crossings._candidates`: the per-node trigger loop of
-    the crossing scan, returning the node indices it sends to refinement."""
-    located = []
-    n = len(fs)
-    for i in range(n):
-        dl = fs[i] - fs[i - 1] if i > 0 else 0.0
-        dr = fs[i + 1] - fs[i] if i + 1 < n else 0.0
-        if i > 0 and dl > 0:
-            continue
-        if i + 1 < n and dr < 0:
-            continue
-        # Slope-aware trigger: the raw threshold is relative to the scale
-        # sigma_min + 1, and a crossing reached at speed v leaves a node
-        # minimum as large as v*h/2, which the raw threshold alone would
-        # miss on coarse grids.
-        gate = TRIGGER_RATIO * (fs[i] + 1.0) + 2.0 * (abs(dl) + abs(dr))
-        if fs[i] <= gate:
-            located.append(i)
-    return located
-
-
 def crossing_form_index(path, interval=None, policy: str = OPEN_OPEN) -> IndexValue:
     """Reference Robbin-Salamon index assembled from the crossing forms of
     the closed scan of [a, b]: interior crossings add their signature sum
@@ -214,6 +192,52 @@ def crossing_form_index(path, interval=None, policy: str = OPEN_OPEN) -> IndexVa
         elif abs(c.time - path.t_start) > ENDPOINT_TOL:
             raise EndpointCrossingError(f"crossing at interval endpoint t={c.time:.6f}")
     return IndexValue(half_units=halves, interval=(float(a), float(b)), policy=policy)
+
+
+def cayley_form(psi: np.ndarray) -> np.ndarray:
+    """K = J (Psi - I)(Psi + I)^-1, symmetric for symplectic Psi without
+    eigenvalue -1, and singular exactly where Psi has eigenvalue 1."""
+    d = len(psi)
+    k = standard_structure(d // 2).J @ (psi - np.eye(d)) @ np.linalg.inv(psi + np.eye(d))
+    return 0.5 * (k + k.T)
+
+
+def _cayley_signature(psi: np.ndarray) -> int:
+    w = np.linalg.eigvalsh(cayley_form(psi))
+    tol = 1e-8 * max(1.0, float(np.abs(w).max()))
+    return int(np.sum(w > tol) - np.sum(w < -tol))
+
+
+def cayley_index(path: SymplecticPath, interval: tuple[float, float] | None = None,
+                 policy: str = OPEN_OPEN, clearance: float = 0.05) -> IndexValue:
+    """Reference Robbin-Salamon index from the inertia of the Cayley form.
+
+    On a window where Psi never has eigenvalue -1, K(t) = `cayley_form`
+    is a continuous path of symmetric matrices whose kernel is
+    ker(Psi - I), so the index in half-units is sign K(a) - sign K(b), an
+    end crossing counting half by itself.  It reads no eigenangle, no
+    graph phase and no scan.  Under ``open_open`` a window from the path's
+    start counts from the first node after it, and a kernel at either end
+    raises.  Raises ValueError unless sigma_min(Psi + I) >= clearance
+    ||Psi|| at both ends and every node between them.
+    """
+    a, b = interval if interval is not None else (path.t_start, path.t_end)
+    lo = a
+    if policy == OPEN_OPEN and abs(a - path.t_start) <= ENDPOINT_TOL:
+        lo = float(path.times[1])
+    inside = (path.times > lo) & (path.times < b)
+    for psi in [evaluate(path, lo), *path.matrices[inside], evaluate(path, b)]:
+        smin = np.linalg.svd(psi + np.eye(len(psi)), compute_uv=False)[-1]
+        if smin < clearance * np.linalg.norm(psi, 2):
+            raise ValueError("window not clear of eigenvalue -1")
+    ends = [_cayley_signature(evaluate(path, t)) for t in (lo, b)]
+    if policy == OPEN_OPEN:
+        for t in (lo, b):
+            psi = evaluate(path, t)
+            smin = np.linalg.svd(psi - np.eye(len(psi)), compute_uv=False)[-1]
+            if smin < 1e-7 * np.linalg.norm(psi, 2):
+                raise EndpointCrossingError(f"crossing at interval endpoint t={t:.6f}")
+    return IndexValue(half_units=ends[0] - ends[1], interval=(float(a), float(b)), policy=policy)
 
 
 # -- planar winding oracle -----------------------------------------------------
@@ -244,7 +268,7 @@ def planar_winding_index(path: SymplecticPath,
     contributes sign(dPhi) * mult, with mult = 2 when the matrix returns to
     the identity and 1 at a parabolic passage, full weight in the interior
     and half weight at closed endpoints under ``rs_halves``.  Shares nothing
-    with the sigma_min scan, so it cross-checks `rs_index` in dimension 2.
+    with the crossing scan, so it cross-checks `rs_index` in dimension 2.
     """
     if path.dim != 2:
         raise ValueError("planar winding index is defined only in dimension 2")
@@ -259,7 +283,7 @@ def planar_winding_index(path: SymplecticPath,
     g = np.einsum("kii->ki", path.matrices).sum(axis=1) - 2.0
 
     # Event times: zeros of tr - 2, found from sign changes and near-zero
-    # local maxima (touching zeros), refined independently of sigma_min.
+    # local maxima (touching zeros), refined independently of the scan.
     event_times: list[float] = []
 
     def refine_touch(lo: float, hi: float) -> float | None:

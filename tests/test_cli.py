@@ -187,7 +187,7 @@ def test_verify_quadratic_model(tmp_path, capsys):
 
 def test_verify_quadratic_close_block_crossings(tmp_path, capsys):
     # Two planar blocks whose crossings lie 1.5 grid steps apart at 512 steps:
-    # the node trigger sees one grid minimum, the graph phase shows both.
+    # the scan must locate both, as the graph phase counts both.
     lam2 = TWO_PI / (TWO_PI / 7.0 + 1.5 / 512)
     diag = [7.0, 7.0, lam2, lam2]
     s_max = [[-diag[i] if i == j else 0.0 for j in range(4)] for i in range(4)]

@@ -23,15 +23,16 @@ from hoferlab import (
     rs_index,
 )
 from hoferlab.errors import CrossingResolutionError
+from hoferlab.flows import graph_angles, interpolant_bound
 from tests.oracles import (
     TWO_PI,
+    cayley_index,
     constant_planar,
     crossing_form_index,
     crossing_times,
     planar_winding_index,
     random_negdef_fourier,
     random_nondegenerate_negdef,
-    trigger_candidates_loop,
 )
 
 
@@ -83,11 +84,11 @@ def test_resolution_guard_raises():
         find_crossings(path)
 
 
-@pytest.mark.parametrize("spacing", [1.05, 1.5, 1.95])
+@pytest.mark.parametrize("spacing", [1.05, 1.5, 1.95, 2.0, 2.5])
 def test_close_block_crossings_are_all_found(spacing):
-    # Crossings of two planar blocks `spacing` grid steps apart: the scan
-    # closes its count against the graph phase and refines the interval
-    # that the node trigger skipped.
+    # Crossings of two planar blocks `spacing` grid steps apart, so that
+    # one node interval can hold two angles near 0: each is root-found by
+    # its order, not by its nearness to 0.
     steps = 512
     lam2 = TWO_PI / (TWO_PI / 7.0 + spacing / steps)
     gen = direct_sum(constant_planar(7.0), constant_planar(lam2))
@@ -111,124 +112,231 @@ def test_scans_leave_no_state_on_the_path():
 
 def test_scan_refines_only_unknown_minima(monkeypatch):
     # The identity at the path start is placed by the endpoint rule, so the
-    # one crossing of lam = 7 is the only refinement; a window starting at
-    # an interior node still refines that node when the trigger fires.
+    # one crossing of lam = 7 is the only root-finding; a window that starts
+    # after it root-finds nothing.
     path = integrate(constant_planar(7.0), 0.0, 1.0, 512)
-    locate, evaluate = crossings_module._locate, crossings_module.evaluate
+    brent, evaluate = crossings_module._brent_zero, crossings_module.evaluate
     brackets, evaluations = [], []
 
-    def counting_locate(p, lo, hi):
+    def counting_brent(f, lo, hi, f_lo, f_hi):
         brackets.append((float(lo), float(hi)))
-        return locate(p, lo, hi)
+        return brent(f, lo, hi, f_lo, f_hi)
 
     def counting_evaluate(p, t):
         evaluations.append(t)
         return evaluate(p, t)
 
-    monkeypatch.setattr(crossings_module, "_locate", counting_locate)
+    monkeypatch.setattr(crossings_module, "_brent_zero", counting_brent)
     monkeypatch.setattr(crossings_module, "evaluate", counting_evaluate)
     assert len(find_crossings(path, (0.0, 1.0))) == 1
-    assert len(brackets) == 1 and brackets[0][0] < TWO_PI / 7.0 < brackets[0][1]
-    assert len(evaluations) == 26
+    assert len(brackets) == 1 and 0.0 < brackets[0][0] < TWO_PI / 7.0 < brackets[0][1]
+    # The angle is linear in t here, so Brent's zero takes two calls (the
+    # bounded Brent refinement of sigma_min it replaced took 26).
+    assert len(evaluations) == 2
 
     first_after = float(path.times[np.searchsorted(path.times, TWO_PI / 7.0)])
     brackets.clear()
     assert find_crossings(path, (first_after, 1.0)) == []
-    assert [lo for lo, _hi in brackets] == [first_after]
+    assert brackets == []
 
 
-_SIGMA_LEVELS = st.sampled_from([0.0, 1e-9, 1e-4, 1e-3, 1.001e-3, 0.01, 0.5, 1.0])
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_SIGMA_LEVELS | st.floats(0.0, 4.0), min_size=2, max_size=24))
-def test_vectorized_trigger_matches_node_loop(values):
-    # Exact ties and plateaus come from the repeated levels; the gate and the
-    # slope tests must pick the same nodes, in the same order, as the loop.
-    fs = np.array(values)
-    assert crossings_module._candidates(fs).tolist() == trigger_candidates_loop(fs)
-
-
-_BRACKET_WIDTHS = st.one_of(
-    st.sampled_from([4.0 * crossings_module.TIME_TOL, 1e-9, 1e-6, 1e-3, 0.3]),
-    st.floats(4.0 * crossings_module.TIME_TOL, 0.3))
-# Vertex position in bracket units: inside, at either bound, or outside.
-_VERTEX = st.one_of(st.sampled_from([0.0, 1.0, -0.3, 1.3]), st.floats(-0.5, 1.5))
-
-
-def _bracket_function(shape, lo, width, vertex, slope):
-    c = lo + vertex * width
-    return {
-        "v": lambda t: abs(slope * (t - c)),
-        "parabola": lambda t: slope * (t - c) ** 2 + 0.25,
-        "constant": lambda t: 0.5,
-        "abs_sin": lambda t: abs(math.sin(7.0 * math.pi * (t - c) / width)),
-        "stepped_v": lambda t: round(slope * abs(t - c) / width) / 4.0,
-        "several_minima": lambda t: (math.cos(12.0 * math.pi * (t - lo) / width)
-                                     + 0.1 * slope * abs(t - c) / width),
-    }[shape]
-
-
-def _brent_both_ways(func, lo, hi):
-    """(x, fun, evaluation times) from scipy's bounded Brent and from the port."""
-    from scipy.optimize import minimize_scalar
+def _brentq_both_ways(func, lo, hi):
+    """(x, evaluation times) from scipy's brentq and from the port."""
+    from scipy.optimize import brentq
 
     seen = ([], [])
 
     def counted(k):
         return lambda t: seen[k].append(float(t)) or func(t)
 
-    res = minimize_scalar(counted(0), bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    assert res.nfev == len(seen[0])
-    x, fun = crossings_module._minimize_bounded(counted(1), lo, hi)
-    return (float(res.x), float(res.fun), seen[0]), (x, fun, seen[1])
+    # disp=False: after 100 iterations brentq returns its last iterate, as the port does.
+    x, res = brentq(counted(0), lo, hi, xtol=crossings_module._ROOT_XTOL, full_output=True,
+                    disp=False)
+    assert res.function_calls == len(seen[0])
+    f = counted(1)
+    port = crossings_module._brent_zero(f, lo, hi, f(lo), f(hi))
+    return (float(x), seen[0]), (port, seen[1])
+
+
+def _zero_function(shape, lo, width, root, slope):
+    c = lo + root * width
+    return {
+        "linear": lambda t: slope * (t - c),
+        "cubic": lambda t: slope * (t - c) ** 3,
+        "atan": lambda t: math.atan(slope * (t - c) / width),
+        "step": lambda t: -1.0 if t < c else 2.0,
+        "odd_sin": lambda t: math.sin(3.0 * math.pi * (t - c) / width) + 0.3 * slope * (t - c),
+        "falling": lambda t: math.exp(-slope * (t - lo) / width) - math.exp(-slope * root),
+    }[shape]
 
 
 @settings(max_examples=400, deadline=None)
-@given(shape=st.sampled_from(["v", "parabola", "constant", "abs_sin", "stepped_v",
-                              "several_minima"]),
-       lo=st.floats(0.0, 1.0), width=_BRACKET_WIDTHS, vertex=_VERTEX,
+@given(shape=st.sampled_from(["linear", "cubic", "atan", "step", "odd_sin", "falling"]),
+       lo=st.floats(0.0, 1.0), width=st.floats(1e-11, 0.3),
+       root=st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0)),
        slope=st.floats(0.1, 100.0))
-def test_bounded_brent_port_matches_scipy(shape, lo, width, vertex, slope):
+def test_brent_zero_port_matches_scipy_brentq(shape, lo, width, root, slope):
+    # The zero at the bracket ends, inside it and on plateaus of a step.
     hi = lo + width
-    scipy_result, port = _brent_both_ways(
-        _bracket_function(shape, lo, width, vertex, slope), lo, hi)
+    func = _zero_function(shape, lo, width, root, slope)
+    f_lo, f_hi = func(lo), func(hi)
+    if f_lo != 0.0 and f_hi != 0.0 and math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
+        return
+    scipy_result, port = _brentq_both_ways(func, lo, hi)
     assert port == scipy_result
 
 
-def test_bounded_brent_port_matches_scipy_on_seeded_brackets():
-    # Plateau ties, which steer the bracket updates, are rare per draw.
-    rng = np.random.default_rng(17)
-    for shape in ("v", "stepped_v", "several_minima"):
-        for _ in range(1000):
-            lo, width = rng.uniform(0.0, 1.0), 10.0 ** rng.uniform(-9.0, -0.5)
-            vertex, slope = rng.uniform(-0.3, 1.3), rng.uniform(0.5, 30.0)
-            func = _bracket_function(shape, lo, width, vertex, slope)
-            scipy_result, port = _brent_both_ways(func, lo, lo + width)
+def test_brent_zero_port_matches_scipy_on_seeded_brackets():
+    rng = np.random.default_rng(23)
+    compared = 0
+    for shape in ("linear", "cubic", "atan", "step", "odd_sin", "falling"):
+        for _ in range(400):
+            lo, width = rng.uniform(0.0, 1.0), 10.0 ** rng.uniform(-10.0, -0.5)
+            func = _zero_function(shape, lo, width, rng.uniform(0.0, 1.0), rng.uniform(0.5, 30.0))
+            if math.copysign(1.0, func(lo)) == math.copysign(1.0, func(lo + width)):
+                continue
+            scipy_result, port = _brentq_both_ways(func, lo, lo + width)
             assert port == scipy_result
+            compared += 1
+    assert compared >= 2000
 
 
-def test_brent_sign_is_numpy_sign_with_zero_as_plus_one():
-    values = [0.0, -0.0, 5e-324, -5e-324, 2.5, -2.5, math.inf, -math.inf]
-    for v in values:
-        assert crossings_module._sign(v) == np.sign(v) + (v == 0)
-    assert math.isnan(crossings_module._sign(math.nan))
+def test_brent_zero_port_matches_scipy_on_eigenangles():
+    # The functions the scan root-finds: eigenangles of W on node intervals
+    # around each crossing of a dim-4 Fourier path.
+    path = integrate(random_negdef_fourier(4, np.random.default_rng(5)), 0.0, 1.0, 384)
+    compared = 0
+    for c in find_crossings(path):
+        i = int(np.searchsorted(path.times, c.time)) - 1
+        lo, hi = float(path.times[i]), float(path.times[i + 1])
+        for rank in range(4):
+            def angle(t, rank=rank):
+                psi = crossings_module.evaluate(path, t)
+                return float(np.sort(graph_angles(psi - np.eye(4)))[rank])
+            if math.copysign(1.0, angle(lo)) != math.copysign(1.0, angle(hi)):
+                scipy_result, port = _brentq_both_ways(angle, lo, hi)
+                assert port == scipy_result
+                compared += 1
+    assert compared >= 2
 
 
-@pytest.mark.parametrize("make, steps", [
-    (lambda: constant_planar(7.0), 512),
-    (lambda: constant_planar(13.0), 64),
-    (lambda: random_negdef_fourier(4, np.random.default_rng(5)), 384),
-], ids=["lam7", "lam13", "fourier_dim4"])
-def test_bounded_brent_port_matches_scipy_on_sigma_min(make, steps):
-    # The function `_locate` minimizes, on node brackets across the path.
-    path = integrate(make(), 0.0, 1.0, steps)
-    ts = path.times
-    for i in range(1, steps, max(1, steps // 48)):
-        scipy_result, port = _brent_both_ways(
-            lambda t: crossings_module._sigma_min_at(path, t), ts[i - 1], ts[i + 1])
-        assert port == scipy_result
+@pytest.mark.parametrize("dim", [2, 4])
+def test_multiple_crossing_on_a_node_is_found_once(dim):
+    # At node 426 of 512 the equal angles of lam I straddle 0 by rounding,
+    # so one of them is root-found on each side of the node.
+    lam = TWO_PI * 512 / 426
+    found = find_crossings(integrate(HessianPath.constant(-lam * np.eye(dim)), 0.0, 1.0, 512))
+    assert [c.multiplicity for c in found] == [dim]
+    assert abs(found[0].time - TWO_PI / lam) <= 1e-10
+
+
+@pytest.mark.parametrize("lam", [7.0, TWO_PI * 512 / 460], ids=["lam7", "at_node"])
+def test_indefinite_pair_with_no_count_change_is_found(lam):
+    # Two angles pass 0 upward and two downward at 2 pi / lam: the spectral
+    # count does not change, and bisection on sigma_min finds the crossing.
+    # At node 460 of 512 the pieces of both node intervals join into one run.
+    gen = direct_sum(constant_planar(lam), constant_planar(-lam))
+    found = find_crossings(integrate(gen, 0.0, 1.0, 512))
+    assert len(found) == 1
+    assert abs(found[0].time - TWO_PI / lam) <= 1e-10
+    assert found[0].multiplicity == 4 and found[0].signature == (2, 2)
+
+
+def test_indefinite_opposite_blocks_keep_their_signatures():
+    gen = direct_sum(constant_planar(7.0), constant_planar(-9.0))
+    found = find_crossings(integrate(gen, 0.0, 1.0, 512))
+    assert [(c.multiplicity, c.signature) for c in found] == [(2, (2, 0)), (2, (0, 2))]
+    for c, tau in zip(found, (TWO_PI / 9.0, TWO_PI / 7.0)):
+        assert abs(c.time - tau) <= 1e-10
+
+
+def _definite_generators(rng):
+    """(generator, steps): negative definite constant, Fourier and sampled
+    generators in dims 2, 4 and 6, a positive definite negation, and step
+    counts from 64 to 512."""
+    for dim, steps in ((2, (512, 64, 128, 64)), (4, (256, 64, 128, 64)), (6, (128, 64, 64, 64))):
+        speeds = np.repeat(rng.uniform(3.0, 14.0, size=dim // 2), 2)
+        fourier = random_negdef_fourier(dim, rng)
+        warp = 1.0 + rng.uniform(0.1, 0.5) * np.cos(TWO_PI * np.linspace(0.0, 1.0, 33))
+        sampled = HessianPath.sampled(warp[:, None, None] * -np.diag(speeds))
+        yield from zip((HessianPath.constant(-np.diag(speeds)), fourier, fourier.negated(),
+                        sampled), steps)
+
+
+def _sign_changes(psis):
+    """(upward, downward) eigenangle passages through 0 along a stack of
+    Psi, ranks matched across each step by the whole turns of the phase."""
+    d = psis.shape[-1]
+    theta = np.sort(graph_angles(psis - np.eye(d)), axis=1)
+    up = down = 0
+    for th0, th1 in zip(theta, theta[1:]):
+        moved = th1.sum() - th0.sum()
+        shift = round((math.remainder(moved, TWO_PI) - moved) / TWO_PI)
+        for i in range(max(0, -shift), min(d, d - shift)):
+            up += th0[i] <= 0.0 < th1[i + shift]
+            down += th1[i + shift] <= 0.0 < th0[i]
+    return up, down
+
+
+def test_certified_intervals_hold_no_crossing():
+    # The gate against dense sampling: sigma_min stays above the kernel
+    # threshold and no eigenangle changes sign inside a certified interval;
+    # each crossing's angle passages match its signature (upward ones q).
+    rng = np.random.default_rng(31415)
+    evaluate = crossings_module.evaluate
+    certified_total = 0
+    for gen, steps in _definite_generators(rng):
+        assert gen.definiteness != "indefinite"
+        path = integrate(gen, 0.0, 1.0, steps)
+        ts, sigma = path.times, path.sigma_min_nodes()
+        norms = 1.0 + path.sigma_max_nodes()[:-1]
+        certified = np.flatnonzero(crossings_module._certified(
+            sigma[:-1], sigma[1:], np.diff(ts), norms, interpolant_bound(path),
+            crossings_module.KERNEL_RATIO))
+        certified_total += len(certified)
+        for i in certified:
+            psis = np.stack([evaluate(path, t) for t in np.linspace(ts[i], ts[i + 1], 18)])
+            smin = np.linalg.svd(psis[1:-1] - np.eye(path.dim), compute_uv=False)[:, -1]
+            norm = np.linalg.norm(psis[1:-1], 2, axis=(1, 2))
+            assert (smin > crossings_module.KERNEL_RATIO * norm).all()
+            assert _sign_changes(psis) == (0, 0)
+        for c in find_crossings(path):
+            delta = 0.25 * path.grid_spacing
+            psis = np.stack([evaluate(path, c.time - delta),
+                             evaluate(path, min(c.time + delta, path.t_end))])
+            assert _sign_changes(psis) == (c.signature[1], c.signature[0])
+    assert certified_total > 1000
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 10_000), dim=st.sampled_from([4, 6]), negate=st.booleans())
+def test_rs_index_matches_cayley_index(seed, dim, negate):
+    # The spectral flow of W against the inertia of the Cayley form, which
+    # reads no eigenangle, on windows clear of eigenvalue -1.
+    rng = np.random.default_rng(seed)
+    gen, path = random_nondegenerate_negdef(dim, rng, steps=384)
+    if negate:
+        path = integrate(gen.negated(), 0.0, 1.0, 384)
+    eye = np.eye(dim)
+    clear = np.array([np.linalg.svd(m + eye, compute_uv=False)[-1] >= 0.1 * np.linalg.norm(m, 2)
+                      for m in path.matrices])
+    # Runs of clear nodes: window ends are drawn inside one run.
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], clear.astype(int), [0]))))
+    compared = 0
+    for start, stop in zip(edges[::2], edges[1::2]):
+        if stop - start < 3:
+            continue
+        lo, hi = path.times[start], path.times[stop - 1]
+        u = np.sort(rng.uniform(lo, hi, size=2))
+        for window in ((float(lo), float(u[1])), (float(u[0]), float(u[1]))):
+            for policy in ("open_open", "rs_halves"):
+                try:
+                    expected = cayley_index(path, window, policy)
+                except (EndpointCrossingError, ValueError):
+                    continue
+                assert rs_index(path, window, policy) == expected, (window, policy)
+                compared += 1
+    assert compared >= 2
 
 
 def test_window_validation():
@@ -337,6 +445,18 @@ def test_fast_rotation_crossings_are_all_found():
     assert len(found) == len(expected)
     assert max(abs(c.time - t) for c, t in zip(found, expected)) < 1e-4
     assert rs_index(path).half_units == -4 * len(expected)
+
+
+@pytest.mark.parametrize("slow, fast, steps", [(10.0, 35.0, 24), (8.0, 52.0, 32)])
+def test_fast_distinct_rotations_are_followed_through_phase_substeps(slow, fast, steps):
+    # The angle sum moves 3.75 rad per step, past the principal range, so the
+    # phase bound cuts every step into sub-steps; the two blocks' angles
+    # differ, so each rank has to be followed through the sub-steps.
+    gen = direct_sum(constant_planar(slow), constant_planar(fast))
+    found = find_crossings(integrate(gen, 0.0, 1.0, steps))
+    expected = sorted(crossing_times(slow) + crossing_times(fast))
+    assert [c.multiplicity for c in found] == [2] * len(expected)
+    assert max(abs(c.time - t) for c, t in zip(found, expected)) < 1e-4
 
 
 def test_phase_lift_rejects_unresolvable_steps():
