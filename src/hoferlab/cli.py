@@ -283,7 +283,8 @@ def _svg_plot(scenario: Scenario, steps: int) -> str:
     curves = {}
     for label, p in paths.items():
         stride = max(1, (len(p.times) - 1) // 1024)
-        curves[label] = (p.times[::stride], p.sigma_min_nodes()[::stride])
+        diff = p.matrices[::stride] - np.eye(p.dim)
+        curves[label] = (p.times[::stride], np.linalg.svd(diff, compute_uv=False)[:, -1])
     ymax = max(float(v.max()) for _, v in curves.values()) or 1.0
 
     def sx(t):

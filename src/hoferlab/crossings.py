@@ -11,7 +11,8 @@ index", 1994).  Both algorithms read W.
   graph phase, across the window (`flows.phase_window`) and takes
   eigenangles at the two ends only; it locates no crossing.
 * The scan certifies node intervals crossing-free from sigma_min(Psi_i - I)
-  at their ends and a bound on how fast `evaluate` moves (`_certified`).
+  at their ends and a bound on how fast `evaluate` moves (`_certified`,
+  `_open_intervals`).
   For a definite generator each crossing is a transversal, one-way sign
   change of eigenangles (Arnold, "Sturm theorems and symplectic geometry",
   1985), so in the other intervals the angles that change sign, matched by
@@ -306,6 +307,41 @@ def _bisect(path: SymplecticPath, runs: list, lo: float, hi: float, s_lo: float,
         live = split
 
 
+def _open_intervals(path: SymplecticPath, ts: np.ndarray, inner: np.ndarray,
+                    end_sigma: np.ndarray, widths: np.ndarray, bound):
+    """The sample intervals [ts[k], ts[k + 1]] that `_certified` does not
+    clear, sigma_min(Psi - I) at the samples and the norm bounds
+    1 + sigma_max(Psi_i - I) at each interval's base node Psi_i.
+
+    The samples are the window ends (``end_sigma`` is exact there) and the
+    path nodes ``inner`` between them.  The gate first reads the node
+    bounds of `SymplecticPath.sigma_min_nodes` and `sigma_max_nodes`, which
+    can open an interval that exact values clear but never clear one they
+    open.  The intervals left open are gated again with one SVD at each of
+    their nodes and base nodes, so the result is the gate on exact sigma,
+    and sigma and the norms are exact wherever an open interval reads them.
+    """
+    nodes, eye = np.flatnonzero(inner), np.eye(path.dim)
+    sigma = np.concatenate(([end_sigma[0]], path.sigma_min_nodes()[inner], [end_sigma[1]]))
+    # `evaluate` steps across each sample interval from the node before its middle.
+    base = np.searchsorted(path.times, 0.5 * (ts[:-1] + ts[1:]), "right") - 1
+    norms = 1.0 + path.sigma_max_nodes()[base]
+    open_ = np.flatnonzero(~_certified(sigma[:-1], sigma[1:], widths, norms, bound, KERNEL_RATIO))
+    if open_.size:
+        # Ends of open intervals; the window ends are exact already.
+        picked = np.zeros(len(ts), dtype=bool)
+        picked[open_] = picked[open_ + 1] = True
+        picked[[0, -1]] = False
+        samples = np.flatnonzero(picked)
+        exact = np.linalg.svd(path.matrices[np.concatenate((nodes[samples - 1], base[open_]))]
+                              - eye, compute_uv=False)
+        sigma[samples] = exact[:len(samples), -1]
+        norms[open_] = 1.0 + exact[len(samples):, 0]
+        open_ = open_[~_certified(sigma[open_], sigma[open_ + 1], widths[open_], norms[open_],
+                                  bound, KERNEL_RATIO)]
+    return open_, sigma, norms
+
+
 def _halves(crossings: list[Crossing], a: float, b: float) -> int:
     """Multiplicity sum in half-units; crossings at a or b count half."""
     return sum(c.multiplicity * (1 if min(c.time - a, b - c.time) <= ENDPOINT_TOL else 2)
@@ -331,11 +367,8 @@ def _scan_closed(path: SymplecticPath, a: float, b: float) -> list[Crossing]:
     inner, ts, ends, phase, subs = phase_window(path, a, b)
     last, nodes = len(ts) - 1, np.flatnonzero(inner)
     count, kernel, end_marks, end_sigma = _counts(*_spectra(ends, phase[[0, -1]]), ends)
-    sigma = np.concatenate(([end_sigma[0]], path.sigma_min_nodes()[inner], [end_sigma[1]]))
-    # `evaluate` steps across each sample interval from the node before its middle.
-    base = np.searchsorted(path.times, 0.5 * (ts[:-1] + ts[1:]), "right") - 1
-    norms, bound, widths = 1.0 + path.sigma_max_nodes()[base], interpolant_bound(path), np.diff(ts)
-    open_ = np.flatnonzero(~_certified(sigma[:-1], sigma[1:], widths, norms, bound, KERNEL_RATIO))
+    bound, widths = interpolant_bound(path), np.diff(ts)
+    open_, sigma, norms = _open_intervals(path, ts, inner, end_sigma, widths, bound)
 
     # Samples: both ends of each open interval, and the window ends.
     picked = np.zeros(len(ts), dtype=bool)

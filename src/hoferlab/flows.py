@@ -50,6 +50,8 @@ _DEFINITENESS_DELTA = 1e-8
 _CLASSIFY_GRID = 129
 _SYMMETRY_TOL = 1e-9
 _NODE_RESIDUAL_TOL = 1e-9
+# Error constant of the Gram eigenvalues, per d^2 eps ||D||_F^2 (`_node_sigma_bounds`).
+_GRAM_SLACK = 16.0
 # Graph phase sub-steps stay below a quarter turn, at most 64 per grid step.
 _QUARTER_TURN = 0.5 * math.pi
 _PHASE_SUBSTEPS_MAX = 64
@@ -67,6 +69,33 @@ def _require_symmetric(m: np.ndarray, what: str) -> np.ndarray:
     if float(np.abs(m - m.T).max()) > _SYMMETRY_TOL * scale:
         raise ValueError(f"{what} is not symmetric")
     return 0.5 * (m + m.T)
+
+
+def _symmetric_stack(stack, kind: str) -> list | np.ndarray:
+    """The coefficient matrices M of ``stack``, each checked by
+    `_require_symmetric` and replaced by (M + M^T) / 2.
+
+    A stack that converts to one (m, d, d) array is checked in one pass and
+    returned as that array; its first bad matrix is checked again alone, so
+    the error names it as the per-matrix loop does.  Any other stack goes
+    through that loop and comes back as a list.
+    """
+    try:
+        arr = np.asarray(stack, dtype=float)
+    except ValueError:  # ragged
+        arr = None
+    if arr is None or arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+        return [_require_symmetric(m, f"{kind} coefficient {i}") for i, m in enumerate(stack)]
+    transposed = arr.swapaxes(1, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # A NaN or inf entry makes the scale non-finite.
+        scale = np.maximum(1.0, np.abs(arr).max(axis=(1, 2), initial=0.0))
+        skew = np.abs(arr - transposed).max(axis=(1, 2), initial=0.0)
+        bad = ~np.isfinite(scale) | (skew > _SYMMETRY_TOL * scale)
+    if bad.any():
+        i = int(np.argmax(bad))
+        _require_symmetric(arr[i], f"{kind} coefficient {i}")
+    return 0.5 * (arr + transposed)
 
 
 class HessianPath:
@@ -93,16 +122,18 @@ class HessianPath:
     def __init__(self, kind: str, stack, n_cos: int = 0):
         if kind not in _COMPILERS:
             raise ValueError(f"unknown generator kind {kind!r}")
-        mats = [_require_symmetric(m, f"{kind} coefficient {i}") for i, m in enumerate(stack)]
+        mats = _symmetric_stack(stack, kind)
         if (kind == "constant" and len(mats) != 1) or len(mats) < (4 if kind == "sampled" else 1):
             raise ValueError(f"{kind} generator has the wrong number of matrices")
-        if any(m.shape != mats[0].shape for m in mats):
-            raise ValueError(f"{kind} coefficient shape mismatch")
+        if isinstance(mats, list):
+            if any(m.shape != mats[0].shape for m in mats):
+                raise ValueError(f"{kind} coefficient shape mismatch")
+            mats = np.stack(mats)
         if not 0 <= n_cos < len(mats):
             raise ValueError(f"cosine term count {n_cos} outside the stack")
         self.kind = kind
         self.n_cos = int(n_cos)
-        self.stack = np.stack(mats)
+        self.stack = mats
         self.stack.flags.writeable = False
         self.dim = self.stack.shape[1]
         if self.dim < 2 or self.dim % 2 != 0:
@@ -357,9 +388,10 @@ class SymplecticPath:
 
     Node matrices are validated at construction: finite entries, unit start,
     symplectic residual and determinant defect both below 1e-9.  It keeps
-    sigma_min and sigma_max of Psi_i - I (one SVD per node), which certify
-    node intervals for the crossing scan, and the graph phase for the
-    spectral flow.  Instances are immutable by convention and thread-safe.
+    certified bounds on sigma_min and sigma_max of Psi_i - I, which certify
+    node intervals for the crossing scan (see `_node_sigma_bounds`; the last
+    node's are exact), and the graph phase for the spectral flow.
+    Instances are immutable by convention and thread-safe.
     """
 
     dim: int
@@ -391,26 +423,65 @@ class SymplecticPath:
             )
         if self.max_det_error > _NODE_RESIDUAL_TOL:
             raise IntegrationError(f"determinant defect {self.max_det_error:.3e} exceeds 1e-9")
-        diff = self.matrices - np.eye(self.dim)
-        sigma = np.linalg.svd(diff, compute_uv=False)
-        self._sigma_nodes, self._sigma_max_nodes = sigma[:, -1], sigma[:, 0]
-        self._phase_nodes = graph_phase(diff)
+        self._sigma_nodes, self._sigma_max_nodes = _node_sigma_bounds(self.matrices)
+        # The last node is t_end, where nondegeneracy is decided and reported.
+        end = np.linalg.svd(self.matrices[-1] - np.eye(self.dim), compute_uv=False)
+        self._sigma_nodes[-1], self._sigma_max_nodes[-1] = end[-1], end[0]
+        self._phase_nodes = graph_phase(self.matrices)
 
     @property
     def grid_spacing(self) -> float:
         return (self.t_end - self.t_start) / (len(self.times) - 1)
 
     def sigma_min_nodes(self) -> np.ndarray:
-        """sigma_min(Psi(t_i) - I) at every node, computed at construction."""
+        """A certified lower bound on sigma_min(Psi(t_i) - I) at every node,
+        computed at construction; exact (one SVD) at the last node."""
         return self._sigma_nodes
 
     def sigma_max_nodes(self) -> np.ndarray:
-        """sigma_max(Psi(t_i) - I) at every node, so ||Psi(t_i)||_2 <= 1 + it."""
+        """A certified upper bound on sigma_max(Psi(t_i) - I) at every node,
+        so ||Psi(t_i)||_2 <= 1 + it; exact (one SVD) at the last node."""
         return self._sigma_max_nodes
 
     def phase_nodes(self) -> np.ndarray:
         """`graph_phase` at every node, computed at construction."""
         return self._phase_nodes
+
+
+def _node_sigma_bounds(psis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Certified bounds, lower on sigma_min and upper on sigma_max, of
+    D = Psi - I for each Psi of the stack, from one `eigvalsh` of D^T D.
+
+    The eigenvalues of D^T D are the squared singular values of D; the
+    bounds widen the computed ones by c d eps ||D||_F^2 with
+    c = `_GRAM_SLACK` d = 16 d, which covers two errors, each bounded with
+    Weyl's inequality through a perturbation of D^T D:
+
+    * forming G = fl(D^T D): the entries are dot products of length d, so
+      |G - D^T D| <= gamma_d |D|^T |D| entrywise (gamma_d = d eps /
+      (1 - d eps)), which is at most 1.01 d eps ||D||_F^2 in 2-norm;
+    * `eigvalsh` (LAPACK ``syevd``: Householder tridiagonalization, then
+      implicit QL/QR) returns the eigenvalues of G + F with
+      ||F||_2 <= p(d) eps ||G||_2, and ||G||_2 <= 1.01 ||D||_F^2.  The d - 2
+      two-sided reflections each add O(d eps) (Higham, "Accuracy and
+      Stability of Numerical Algorithms", 2002, ch. 19), so p(d) is a small
+      multiple of d^2; c d = 16 d^2 leaves room for it.
+
+    The slack decides only where sigma_min is below about 4 d sqrt(eps)
+    ||D||_F (4e-7 ||D||_F at d = 6), far below what the crossing scan's gate
+    can clear, so its margin costs nothing; the square roots round within
+    it.  On random symplectic matrices (d = 2..12) the realized error stays
+    below 1.6 d^2 eps ||D||_F^2.
+    """
+    d = psis.shape[-1]
+    diff = psis - np.eye(d)
+    gram = np.matmul(diff.swapaxes(1, 2), diff)
+    slack = (_GRAM_SLACK * d * d * np.finfo(float).eps) * np.einsum("nij,nij->n", diff, diff)
+    del diff
+    lam = np.linalg.eigvalsh(gram)
+    del gram
+    return (np.sqrt(np.maximum(lam[:, 0] - slack, 0.0)),
+            np.sqrt(lam[:, -1] + slack))
 
 
 def _graph_frame(diff: np.ndarray) -> np.ndarray:
@@ -426,10 +497,23 @@ def _graph_frame(diff: np.ndarray) -> np.ndarray:
     return z
 
 
-def graph_phase(diff: np.ndarray) -> np.ndarray:
+def graph_phase(psi: np.ndarray) -> np.ndarray:
     """The graph phase 2 arg det Z, i.e. the eigenangle sum of W mod 2 pi,
-    from diff = Psi - I (one matrix or a stack); see `_graph_frame`."""
-    return 2.0 * np.angle(np.linalg.det(_graph_frame(diff)))
+    of Psi (one matrix or a stack); see `_graph_frame`.
+
+    Z = 2 (P_+ Psi + P_-) with P_+- = (I +- iJ) / 2 the projections onto the
+    +-1 eigenspaces of iJ.  In a unitary eigenbasis of iJ, Z is block upper
+    triangular with diagonal blocks 2 P_+ Psi P_+ and 2 I, so arg det Z =
+    arg det P, where P is the n x n matrix of Psi on the +1 eigenspace: with
+    [[a, b], [c, d]] the 2 x 2 block (k, l) of Psi, P_kl = (a + d) + i (b - c)
+    (the basis vector of plane k is (e_q + i e_p) / sqrt 2).  P is twice the
+    complex-linear part of Psi, whose singular values are >= 1 for a
+    symplectic Psi, so sigma_min(P) >= 2 and det P is well conditioned.
+    """
+    p = np.empty(psi.shape[:-2] + (psi.shape[-2] // 2,) * 2, dtype=complex)
+    p.real = psi[..., 0::2, 0::2] + psi[..., 1::2, 1::2]
+    p.imag = psi[..., 0::2, 1::2] - psi[..., 1::2, 0::2]
+    return 2.0 * np.angle(np.linalg.det(p))
 
 
 def graph_angles(diff: np.ndarray) -> np.ndarray:
@@ -458,7 +542,7 @@ def phase_window(path: SymplecticPath, a: float, b: float):
     inner = (path.times > a + 1e-14) & (path.times < b - 1e-14)
     ts = np.concatenate(([a], path.times[inner], [b]))
     ends = np.stack((evaluate(path, a), evaluate(path, b)))
-    end_phase = graph_phase(ends - np.eye(path.dim))
+    end_phase = graph_phase(ends)
     raw = np.concatenate((end_phase[:1], path.phase_nodes()[inner], end_phase[1:]))
     parts = np.floor(path.dim * path.generator.norm_bound * np.diff(ts) / _QUARTER_TURN)
     if parts.max() >= _PHASE_SUBSTEPS_MAX:
@@ -472,7 +556,7 @@ def phase_window(path: SymplecticPath, a: float, b: float):
         times = np.linspace(ts[i], ts[i + 1], int(parts[i]) + 2)[1:-1]
         psis = np.stack([evaluate(path, t) for t in times])
         moves = _principal(np.diff(np.concatenate(
-            (raw[i:i + 1], graph_phase(psis - np.eye(path.dim)), raw[i + 1:i + 2]))))
+            (raw[i:i + 1], graph_phase(psis), raw[i + 1:i + 2]))))
         worst = max(worst, np.abs(moves).max())
         steps[i] = moves.sum()
         subs[int(i)] = (times, psis, np.cumsum(moves[:-1]))

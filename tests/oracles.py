@@ -7,12 +7,14 @@ than the package's spectral flow: from the crossing forms of the scan, from
 the inertia of the Cayley transform (on windows clear of eigenvalue -1),
 and (in dimension 2) from the winding of the eigenvalue angle.
 `integrate_stepwise` is the per-step loop that the blocked `integrate` must
-reproduce bit for bit.
+reproduce bit for bit, and `frame_phase` the graph phase from the 2n x 2n
+frame determinant, in exact arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -192,6 +194,37 @@ def crossing_form_index(path, interval=None, policy: str = OPEN_OPEN) -> IndexVa
         elif abs(c.time - path.t_start) > ENDPOINT_TOL:
             raise EndpointCrossingError(f"crossing at interval endpoint t={c.time:.6f}")
     return IndexValue(half_units=halves, interval=(float(a), float(b)), policy=policy)
+
+
+def frame_phase(psi: np.ndarray) -> float:
+    """The graph phase 2 arg det Z of the frame Z = (Psi + I) + i J (Psi - I),
+    with det Z by Gaussian elimination in exact rational arithmetic from the
+    float entries of Psi, so that only the final angle rounds.
+
+    Floating-point det Z loses about eps cond(Z) of phase, and cond(Z)
+    grows like ||Psi||^2, which would swamp the comparison at large norms.
+    """
+    d = len(psi)
+    J = standard_structure(d // 2).J
+    q = [[Fraction(float(x)) for x in row] for row in psi]
+    rows = [[(q[i][j] + (i == j),
+              sum(int(J[i, k]) * (q[k][j] - (k == j)) for k in range(d) if J[i, k]))
+             for j in range(d)] for i in range(d)]
+    det_re, det_im = Fraction(1), Fraction(0)
+    for c in range(d):
+        p = next(r for r in range(c, d) if rows[r][c] != (0, 0))
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            det_re, det_im = -det_re, -det_im
+        a, b = rows[c][c]
+        det_re, det_im = det_re * a - det_im * b, det_re * b + det_im * a
+        norm = a * a + b * b
+        for r in range(c + 1, d):
+            x, y = rows[r][c]
+            f_re, f_im = (x * a + y * b) / norm, (y * a - x * b) / norm
+            rows[r] = [(u - (f_re * v - f_im * w), z - (f_re * w + f_im * v))
+                       for (u, z), (v, w) in zip(rows[r], rows[c])]
+    return 2.0 * math.atan2(float(det_im), float(det_re))
 
 
 def cayley_form(psi: np.ndarray) -> np.ndarray:

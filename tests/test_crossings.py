@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hoferlab.crossings as crossings_module
+import hoferlab.flows as flows_module
 from hoferlab import (
     EndpointCrossingError,
     HessianPath,
@@ -23,7 +24,7 @@ from hoferlab import (
     rs_index,
 )
 from hoferlab.errors import CrossingResolutionError
-from hoferlab.flows import graph_angles, interpolant_bound
+from hoferlab.flows import graph_angles, interpolant_bound, phase_window
 from tests.oracles import (
     TWO_PI,
     cayley_index,
@@ -306,6 +307,56 @@ def test_certified_intervals_hold_no_crossing():
                              evaluate(path, min(c.time + delta, path.t_end))])
             assert _sign_changes(psis) == (c.signature[1], c.signature[0])
     assert certified_total > 1000
+
+
+def _exact_gate(path, ts, inner, end_sigma, widths, bound):
+    """`_open_intervals` as the gate read it when every node had an SVD."""
+    sigma_nodes = np.linalg.svd(path.matrices - np.eye(path.dim), compute_uv=False)
+    sigma = np.concatenate(([end_sigma[0]], sigma_nodes[inner, -1], [end_sigma[1]]))
+    base = np.searchsorted(path.times, 0.5 * (ts[:-1] + ts[1:]), "right") - 1
+    norms = 1.0 + sigma_nodes[base, 0]
+    open_ = np.flatnonzero(~crossings_module._certified(
+        sigma[:-1], sigma[1:], widths, norms, bound, crossings_module.KERNEL_RATIO))
+    return open_, sigma, norms
+
+
+@pytest.mark.parametrize("gram_slack", [None, 1e12])
+def test_gate_on_node_bounds_opens_the_exact_intervals(monkeypatch, gram_slack):
+    # The gate on the node bounds, gated again with the exact SVD where it
+    # leaves intervals open, opens exactly the intervals of the gate on
+    # exact node sigma, and hands the open intervals exact sigma and norms.
+    # Bounds loosened until they open many more intervals (1e12) change
+    # nothing, since the exact pass closes them again.
+    if gram_slack is not None:
+        monkeypatch.setattr(flows_module, "_GRAM_SLACK", gram_slack)
+    rng = np.random.default_rng(31415)
+    opened = loose = 0
+    for gen, steps in _definite_generators(rng):
+        path = integrate(gen, 0.0, 1.0, steps)
+        for a, b in ((0.0, 1.0), (0.3 + 0.1 / steps, 0.8)):
+            inner, ts, ends, phase, _subs = phase_window(path, a, b)
+            end_sigma = crossings_module._counts(
+                *crossings_module._spectra(ends, phase[[0, -1]]), ends)[3]
+            widths, bound = np.diff(ts), interpolant_bound(path)
+            open_, sigma, norms = crossings_module._open_intervals(
+                path, ts, inner, end_sigma, widths, bound)
+            ref, ref_sigma, ref_norms = _exact_gate(path, ts, inner, end_sigma, widths, bound)
+            assert np.array_equal(open_, ref)
+            assert np.array_equal(sigma[open_], ref_sigma[open_])
+            assert np.array_equal(sigma[open_ + 1], ref_sigma[open_ + 1])
+            assert np.array_equal(norms[open_], ref_norms[open_])
+            bounds = np.concatenate(([end_sigma[0]], path.sigma_min_nodes()[inner],
+                                     [end_sigma[1]]))
+            base = np.searchsorted(path.times, 0.5 * (ts[:-1] + ts[1:]), "right") - 1
+            by_bounds = ~crossings_module._certified(
+                bounds[:-1], bounds[1:], widths, 1.0 + path.sigma_max_nodes()[base], bound,
+                crossings_module.KERNEL_RATIO)
+            assert by_bounds[ref].all()
+            opened += len(ref)
+            loose += int(by_bounds.sum()) - len(ref)
+    assert opened > 10
+    if gram_slack is not None:
+        assert loose > 10
 
 
 @settings(max_examples=12, deadline=None)

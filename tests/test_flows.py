@@ -26,15 +26,25 @@ from hoferlab import (
     standard_structure,
     symplectic_residual,
 )
-from hoferlab.flows import _magnus_exponent, _slope_system, _spline_coefficients
+from hoferlab.flows import (
+    _magnus_exponent,
+    _node_sigma_bounds,
+    _require_symmetric,
+    _slope_system,
+    _spline_coefficients,
+    graph_phase,
+)
 from tests.oracles import (
     aliased_fourier,
     aliased_spline,
     block_flow,
     constant_planar,
+    frame_phase,
     integrate_stepwise,
     planar_flow,
+    TWO_PI,
     random_negdef_fourier,
+    random_symplectic,
 )
 
 
@@ -185,6 +195,53 @@ def test_stack_is_read_only():
         gen.stack[0, 0, 0] = 1.0
 
 
+def _bad_stacks():
+    """(kind, stack, n_cos, message): bad stacks and the message that the
+    per-matrix `_require_symmetric` loop raised for them."""
+    sym, skew = -np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])
+    values = np.stack([-(3.0 + 0.1 * k) * np.eye(4) for k in range(9)])
+    nan_then_skew = values.copy()
+    nan_then_skew[3, 1, 2] = np.nan
+    nan_then_skew[5, 0, 1] += 1.0
+    skew_then_inf = values.copy()
+    skew_then_inf[2, 3, 0] += 1e-6
+    skew_then_inf[4, 2, 2] = np.inf
+    return [
+        ("fourier", [sym, sym, skew, sym], 2, "fourier coefficient 2 is not symmetric"),
+        ("sampled", nan_then_skew, 0, "sampled coefficient 3 has non-finite entries"),
+        ("sampled", skew_then_inf, 0, "sampled coefficient 2 is not symmetric"),
+        ("constant", [np.ones((2, 3))], 0,
+         "constant coefficient 0 must be a square matrix, got shape (2, 3)"),
+        ("sampled", np.ones((5, 2, 3)), 0,
+         "sampled coefficient 0 must be a square matrix, got shape (2, 3)"),
+        ("fourier", [sym, np.ones(2)], 0,
+         "fourier coefficient 1 must be a square matrix, got shape (2,)"),
+        ("fourier", [sym, skew, np.eye(4)], 1, "fourier coefficient 1 is not symmetric"),
+        ("fourier", [sym, np.eye(4)], 1, "fourier coefficient shape mismatch"),
+        ("constant", [sym, sym], 0, "constant generator has the wrong number of matrices"),
+    ]
+
+
+@pytest.mark.parametrize("kind, stack, n_cos, message", _bad_stacks())
+def test_stack_check_names_the_first_bad_coefficient(kind, stack, n_cos, message):
+    # The check runs over the whole stack at once and keeps the messages of
+    # the per-matrix loop: the first bad matrix, non-finite before skew.
+    with pytest.raises(ValueError) as caught:
+        HessianPath(kind, stack, n_cos)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_stack_check_symmetrizes_each_matrix_as_before(rng, dim):
+    # Within the tolerance, each matrix is replaced by (M + M^T) / 2, bit
+    # for bit as the per-matrix check returns it.
+    stack = _symmetric_stack(rng, 17, dim) * 10.0 ** rng.uniform(-3, 3, size=(17, 1, 1))
+    stack += 1e-11 * rng.normal(size=stack.shape) * np.abs(stack).max(axis=(1, 2))[:, None, None]
+    gen = HessianPath.sampled(stack)
+    assert np.array_equal(gen.stack, np.stack([_require_symmetric(m, "") for m in stack]))
+    assert np.array_equal(gen.negated().stack, -gen.stack)
+
+
 @pytest.mark.parametrize("make", [aliased_fourier, aliased_spline])
 def test_definiteness_between_samples_is_certified(make):
     # Both are -I on every sample a time grid would visit, yet S(t) has a
@@ -217,6 +274,82 @@ def test_graph_phase_rate_is_bounded(rng):
             path = integrate(g, 0.0, 1.0, 2048)
             moves = np.angle(np.exp(1j * np.diff(path.phase_nodes())))
             assert np.abs(moves).max() <= dim * g.norm_bound * path.grid_spacing
+
+
+def _stretched_symplectic(dim: int, rng, log_stretch: float) -> np.ndarray:
+    """A random symplectic matrix with ||Psi||_2 of about exp(log_stretch)."""
+    s = np.exp(rng.uniform(0.9, 1.0, size=dim // 2) * log_stretch)
+    stretch = np.diag(np.ravel(np.column_stack([s, 1.0 / s])))
+    return random_symplectic(dim, rng) @ stretch @ random_symplectic(dim, rng)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_graph_phase_matches_exact_frame_determinant(rng, dim):
+    # arg det P of the complex-linear block equals arg det Z of the 2n x 2n
+    # frame; the oracle takes det Z in exact arithmetic, so the comparison
+    # holds at any norm.
+    psis = [random_symplectic(dim, rng, scale) for scale in (0.3, 0.6, 1.2) for _ in range(8)]
+    psis += [_stretched_symplectic(dim, rng, log_stretch) for log_stretch in (9.3, 11.0, 13.0)]
+    assert max(np.linalg.norm(psi, 2) for psi in psis) >= 1e4
+    phases = graph_phase(np.stack(psis))
+    for psi, phase in zip(psis, phases):
+        assert abs(math.remainder(float(phase) - frame_phase(psi), 2.0 * math.pi)) <= 1e-13
+        assert float(graph_phase(psi)) == phase
+
+
+def _assert_sigma_bounds(psis: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> None:
+    """The bounds hold against the SVD, and the lower one gives away at most
+    1e-5 ||D||_F, so the crossing scan's gate can still clear intervals."""
+    diff = psis - np.eye(psis.shape[-1])
+    sigma = np.linalg.svd(diff, compute_uv=False)
+    assert (lower <= sigma[:, -1]).all() and (upper >= sigma[:, 0]).all()
+    frobenius = np.linalg.norm(diff, axis=(1, 2))
+    assert (lower >= sigma[:, -1] - 1e-5 * frobenius).all()
+    assert (upper <= sigma[:, 0] + 1e-5 * frobenius).all()
+
+
+def _indefinite_fourier(dim: int, rng) -> HessianPath:
+    m = rng.normal(size=(dim, dim))
+    gen = HessianPath.fourier(np.diag(np.linspace(-6.0, 4.0, dim)) + 0.5 * (m + m.T),
+                              [0.5 * (m + m.T)], [np.diag(np.linspace(1.0, -1.0, dim))])
+    assert gen.definiteness == "indefinite"
+    return gen
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_node_sigma_bounds_hold_on_random_paths(rng, dim):
+    for gen in (random_negdef_fourier(dim, rng), _indefinite_fourier(dim, rng)):
+        path = integrate(gen, 0.0, 1.0, 512)
+        _assert_sigma_bounds(path.matrices, path.sigma_min_nodes(), path.sigma_max_nodes())
+        # The last node, where nondegeneracy is decided, is exact.
+        end = np.linalg.svd(path.matrices[-1] - np.eye(dim), compute_uv=False)
+        assert path.sigma_min_nodes()[-1] == end[-1] and path.sigma_max_nodes()[-1] == end[0]
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_node_sigma_bounds_hold_near_crossings_and_at_large_norm(rng, dim):
+    # Nodes of C exp(t J S) C^{-1} in closed form, S = blockdiag(-s I_2,
+    # [[0, a], [a, 0]], ...) for dim >= 4: a rotation plane crosses at
+    # s t = 2 pi, within 1e-5 .. 1e-11 of it here, and a hyperbolic plane
+    # stretches by exp(a t) up to 2e4.
+    speed, rate = 9.0, math.log(2e4)
+    c = random_symplectic(dim, rng)
+    c_inv = np.linalg.inv(c)
+    near = TWO_PI / speed + np.outer(10.0 ** -np.arange(5.0, 12.0), [-1.0, 1.0]).ravel()
+    psis = []
+    for t in np.concatenate((np.linspace(0.0, 1.0, 65), near)):
+        blocks = [planar_flow(speed, t)]
+        for _ in range(dim // 2 - 1):
+            blocks.append(np.diag([math.exp(-rate * t), math.exp(rate * t)]))
+        psis.append(c @ block_diag(*blocks) @ c_inv)
+    psis = np.stack(psis)
+    lower, upper = _node_sigma_bounds(psis)
+    _assert_sigma_bounds(psis, lower, upper)
+    ratio = np.linalg.svd(psis - np.eye(dim), compute_uv=False)[:, -1] / np.linalg.norm(
+        psis, 2, axis=(1, 2))
+    assert ((ratio > 1e-11) & (ratio < 1e-9)).any()
+    if dim > 2:
+        assert np.linalg.norm(psis, 2, axis=(1, 2)).max() >= 1e4
 
 
 def _run_fresh(code: str, *args: str) -> tuple[int, str]:
