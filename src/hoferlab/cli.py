@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -388,6 +389,7 @@ def _cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # building the parser costs about ten parses; `main` only reads it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hoferlab",

@@ -10,9 +10,9 @@ index", 1994).  Both algorithms read W.
 * The index is a spectral flow: `rs_index` lifts the eigenangle sum, the
   graph phase, across the window (`flows.phase_window`) and takes
   eigenangles at the two ends only; it locates no crossing.
-* The scan certifies node intervals crossing-free from sigma_min(Psi_i - I)
-  at their ends and a bound on how fast `evaluate` moves (`_certified`,
-  `_open_intervals`).
+* The scan certifies spans of node intervals crossing-free, coarse to
+  fine, from bounds on sigma_min(Psi_i - I) at their ends and a bound on
+  how fast `evaluate` moves (`_certified`, `_open_intervals`).
   For a definite generator each crossing is a transversal, one-way sign
   change of eigenangles (Arnold, "Sturm theorems and symplectic geometry",
   1985), so in the other intervals the angles that change sign, matched by
@@ -32,8 +32,10 @@ from .errors import CrossingResolutionError, EndpointCrossingError
 from .flows import (
     INDEFINITE,
     SymplecticPath,
+    _principal,
     evaluate,
     graph_angles,
+    graph_phase,
     interpolant_bound,
     phase_window,
 )
@@ -176,23 +178,37 @@ def _counts(theta: np.ndarray, whole: np.ndarray, psis: np.ndarray):
     return count, kernel, marks, sigma[:, -1]
 
 
-def _certified(s_lo, s_hi, width, norm, bound, floor):
-    """Whether sigma_min(evaluate(t) - I) > floor ||evaluate(t)|| all over
-    an interval, from s_lo and s_hi, sigma_min(Psi - I) at its ends (arrays
-    or scalars).
+def _certified(s_lo, s_hi, width, norm, bound, floor, steps=1):
+    """Whether sigma_min(evaluate(t) - I) > floor ||evaluate(t)|| all over a
+    span of ``steps`` sample intervals, from s_lo and s_hi, sigma_min(Psi - I)
+    at its ends (arrays or scalars).
 
-    `evaluate` steps across the interval from one node Psi_i, with
-    ||Psi_i|| <= ``norm`` = 1 + sigma_max(Psi_i - I).  With (slope, growth,
-    pade) from `flows.interpolant_bound`, sigma_min(exp(Omega) Psi_i - I)
-    moves at most slope * norm per unit time (sigma_min is 1-Lipschitz in
-    the matrix), and `evaluate` stays within pade * norm of exp(Omega) Psi_i.
-    So over the interval sigma_min(evaluate(t) - I) is at least
-    (s_lo + s_hi - norm (width slope + 4 pade)) / 2, while ||evaluate(t)||
-    <= (growth + pade) norm.  The floor term is doubled so that it also
-    covers the rounding of one step product.
+    `evaluate` steps across each interval from its base node Psi_i, the node
+    before its middle, with ||Psi_i|| <= ``norm`` = 1 + sigma_max(Psi_i - I)
+    at the first.  With (slope, growth, pade) from `flows.interpolant_bound`,
+    sigma_min(exp(Omega) Psi_i - I) moves at most slope ||Psi_i|| per unit
+    time (sigma_min is 1-Lipschitz in the matrix), and `evaluate` stays
+    within pade ||Psi_i|| of exp(Omega) Psi_i.  The next node, the step
+    exponential times Psi_i rounded once, is within jump ||Psi_i|| of
+    exp(Omega) Psi_i, jump = pade + `_ROUNDING` growth.  So every base node
+    has ||Psi_i|| <= N = norm (growth + jump)^(steps - 1) (`_span_norm`),
+    and sigma_min jumps by at most jump N at each of the steps - 1 inner
+    nodes.  Walking in from both ends, sigma_min(evaluate(t) - I) is at least
+    (s_lo + s_hi - N (width slope + 4 pade + (steps - 1) jump)) / 2 over the
+    span, while ||evaluate(t)|| <= (growth + pade) N.  The floor term is
+    doubled so that it also covers the rounding of one step product.
     """
     slope, growth, pade = bound
-    return s_lo + s_hi > norm * (width * slope + 4.0 * (floor * growth + pade))
+    norm = _span_norm(norm, bound, steps)
+    with np.errstate(invalid="ignore"):  # an infinite bound (NaN charge) clears nothing
+        return s_lo + s_hi > norm * (width * slope + 4.0 * (floor * growth + pade)
+                                     + (steps - 1) * (pade + _ROUNDING * growth))
+
+
+def _span_norm(norm, bound, steps):
+    """N of `_certified`, a bound on ||Psi_i|| at every base node of a span."""
+    _slope, growth, pade = bound
+    return norm * (growth + pade + _ROUNDING * growth) ** (steps - 1)
 
 
 def _brent_zero(f, xa: float, xb: float, fa: float, fb: float) -> float:
@@ -307,38 +323,48 @@ def _bisect(path: SymplecticPath, runs: list, lo: float, hi: float, s_lo: float,
         live = split
 
 
-def _open_intervals(path: SymplecticPath, ts: np.ndarray, inner: np.ndarray,
-                    end_sigma: np.ndarray, widths: np.ndarray, bound):
-    """The sample intervals [ts[k], ts[k + 1]] that `_certified` does not
-    clear, sigma_min(Psi - I) at the samples and the norm bounds
-    1 + sigma_max(Psi_i - I) at each interval's base node Psi_i.
+def _open_intervals(path: SymplecticPath, ts: np.ndarray, base: int, stride: int,
+                    end_sigma: np.ndarray, bound):
+    """The sample intervals [ts[k], ts[k + 1]] that the gate does not clear,
+    sigma_min(Psi - I) at the samples and the norm bounds
+    1 + sigma_max(Psi_i - I) at each interval's base node Psi_i, exact
+    wherever an open interval reads them.
 
     The samples are the window ends (``end_sigma`` is exact there) and the
-    path nodes ``inner`` between them.  The gate first reads the node
-    bounds of `SymplecticPath.sigma_min_nodes` and `sigma_max_nodes`, which
-    can open an interval that exact values clear but never clear one they
-    open.  The intervals left open are gated again with one SVD at each of
-    their nodes and base nodes, so the result is the gate on exact sigma,
-    and sigma and the norms are exact wherever an open interval reads them.
+    nodes between them (``base`` and ``stride`` from `flows.phase_window`).
+    Spans of ``stride`` intervals are gated by `_certified` on the node
+    bounds of `SymplecticPath.sigma_min_nodes` at their ends, and those it
+    does not clear are split at their middle sample, level by level, down
+    to single intervals; those are gated again with one SVD at each of
+    their nodes and base nodes.  Bounds never clear an interval that exact
+    values open, so every interval returned is opened by the single-interval
+    gate on exact sigma, and every interval that holds a crossing is
+    returned.
     """
-    nodes, eye = np.flatnonzero(inner), np.eye(path.dim)
-    sigma = np.concatenate(([end_sigma[0]], path.sigma_min_nodes()[inner], [end_sigma[1]]))
-    # `evaluate` steps across each sample interval from the node before its middle.
-    base = np.searchsorted(path.times, 0.5 * (ts[:-1] + ts[1:]), "right") - 1
-    norms = 1.0 + path.sigma_max_nodes()[base]
-    open_ = np.flatnonzero(~_certified(sigma[:-1], sigma[1:], widths, norms, bound, KERNEL_RATIO))
-    if open_.size:
-        # Ends of open intervals; the window ends are exact already.
-        picked = np.zeros(len(ts), dtype=bool)
-        picked[open_] = picked[open_ + 1] = True
-        picked[[0, -1]] = False
-        samples = np.flatnonzero(picked)
-        exact = np.linalg.svd(path.matrices[np.concatenate((nodes[samples - 1], base[open_]))]
-                              - eye, compute_uv=False)
-        sigma[samples] = exact[:len(samples), -1]
-        norms[open_] = 1.0 + exact[len(samples):, 0]
-        open_ = open_[~_certified(sigma[open_], sigma[open_ + 1], widths[open_], norms[open_],
-                                  bound, KERNEL_RATIO)]
+    last = len(ts) - 1
+    sigma, norms = np.empty(last + 1), np.empty(last)
+    sigma[[0, last]] = end_sigma
+    lo = new = np.arange(0, last, stride)
+    hi, leaves = np.minimum(lo + stride, last), []
+    while lo.size:
+        # Node base + k is sample k and the base node of interval k.
+        lower, upper = path.sigma_min_nodes(base + new)
+        sigma[new[new > 0]], norms[new] = lower[new > 0], 1.0 + upper
+        keep = ~_certified(sigma[lo], sigma[hi], ts[hi] - ts[lo], norms[lo], bound,
+                           KERNEL_RATIO, hi - lo)
+        split = keep & (hi - lo > 1)
+        leaves.append(lo[keep & ~split])
+        new = (lo[split] + hi[split]) // 2
+        lo, hi = np.concatenate((lo[split], new)), np.concatenate((new, hi[split]))
+    open_ = np.sort(np.concatenate(leaves))
+    # Ends of open intervals (the window ends are exact already) and base nodes.
+    hits = np.bincount(np.concatenate((open_, open_ + 1)), minlength=last + 1)
+    samples = np.flatnonzero(hits[1:-1]) + 1
+    exact = np.linalg.svd(path.matrices[base + np.concatenate((samples, open_))]
+                          - np.eye(path.dim), compute_uv=False)
+    sigma[samples], norms[open_] = exact[:len(samples), -1], 1.0 + exact[len(samples):, 0]
+    open_ = open_[~_certified(sigma[open_], sigma[open_ + 1], ts[open_ + 1] - ts[open_],
+                              norms[open_], bound, KERNEL_RATIO)]
     return open_, sigma, norms
 
 
@@ -364,20 +390,19 @@ def _scan_closed(path: SymplecticPath, a: float, b: float) -> list[Crossing]:
     grid step raise.
     """
     h = path.grid_spacing
-    inner, ts, ends, phase, subs = phase_window(path, a, b)
-    last, nodes = len(ts) - 1, np.flatnonzero(inner)
-    count, kernel, end_marks, end_sigma = _counts(*_spectra(ends, phase[[0, -1]]), ends)
-    bound, widths = interpolant_bound(path), np.diff(ts)
-    open_, sigma, norms = _open_intervals(path, ts, inner, end_sigma, widths, bound)
+    ts, base, stride, ends, lift, subs = phase_window(path, a, b)
+    last = len(ts) - 1
+    count, kernel, end_marks, end_sigma = _counts(*_spectra(ends, lift[[0, -1]]), ends)
+    bound = interpolant_bound(path)
+    open_, sigma, norms = _open_intervals(path, ts, base, stride, end_sigma, bound)
 
-    # Samples: both ends of each open interval, and the window ends.
-    picked = np.zeros(len(ts), dtype=bool)
-    picked[[0, last]] = True
-    picked[open_] = picked[open_ + 1] = True
-    picks = np.flatnonzero(picked)
-    psis = np.stack([ends[0] if k == 0 else ends[1] if k == last else path.matrices[nodes[k - 1]]
+    # Both ends of each open interval and the window ends, lifted from coarse samples.
+    picks = np.flatnonzero(np.bincount(np.concatenate((open_, open_ + 1, [0, last])),
+                                       minlength=last + 1))
+    psis = np.stack([ends[0] if k == 0 else ends[1] if k == last else path.matrices[base + k]
                      for k in picks])
-    theta, whole = _spectra(psis, phase[picks])
+    coarse = lift[picks // stride]
+    theta, whole = _spectra(psis, coarse + _principal(graph_phase(psis) - coarse))
     marks = np.zeros(theta.shape, dtype=bool)
     marks[[0, -1]] = end_marks
     row = {k: r for r, k in enumerate(picks.tolist())}
@@ -393,7 +418,7 @@ def _scan_closed(path: SymplecticPath, a: float, b: float) -> list[Crossing]:
             unmarked = np.zeros(sub_theta.shape, dtype=bool)
             samples[1:1] = zip(times, sub_psis, sub_theta, sub_whole, unmarked)
         located = [c for lo, hi in zip(samples, samples[1:]) for c in _locate(path, lo, hi)]
-        reach = path.dim * path.generator.norm_bound * widths[k]
+        reach = path.dim * path.generator.norm_bound * (ts[k + 1] - ts[k])
         near = [s[2][~s[4] & (np.abs(s[2]) <= reach)] for s in (samples[0], samples[-1])]
         if not (located or definite) and all((v <= 0).any() and (v >= 0).any() for v in near):
             _bisect(path, runs, ts[k], ts[k + 1], sigma[k], sigma[k + 1], norms[k], bound)
@@ -459,8 +484,8 @@ def rs_index(path: SymplecticPath, interval: tuple[float, float] | None = None,
     lo, hi = max(a, path.t_start), min(b, path.t_end)
     if policy == OPEN_OPEN and abs(a - path.t_start) <= ENDPOINT_TOL:
         lo = min(float(path.times[1]), hi)
-    _inner, _ts, ends, phase, _subs = phase_window(path, lo, hi)
-    count, kernel, _marks, _sigma = _counts(*_spectra(ends, phase[[0, -1]]), ends)
+    _ts, _base, _stride, ends, lift, _subs = phase_window(path, lo, hi)
+    count, kernel, _marks, _sigma = _counts(*_spectra(ends, lift[[0, -1]]), ends)
     if policy == OPEN_OPEN and kernel.any():
         where = hi if kernel[1] else lo
         raise EndpointCrossingError(

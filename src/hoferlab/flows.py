@@ -11,6 +11,7 @@ and create spurious near-unit eigenvalues).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -39,6 +40,7 @@ __all__ = [
 NEGATIVE_DEFINITE = "negative_definite"
 POSITIVE_DEFINITE = "positive_definite"
 INDEFINITE = "indefinite"
+_NEGATED = {NEGATIVE_DEFINITE: POSITIVE_DEFINITE, POSITIVE_DEFINITE: NEGATIVE_DEFINITE}
 
 DEFAULT_STEPS = 2048
 MIN_STEPS = 8
@@ -138,8 +140,8 @@ class HessianPath:
         self.dim = self.stack.shape[1]
         if self.dim < 2 or self.dim % 2 != 0:
             raise ValueError(f"phase-space dimension must be even and >= 2, got {self.dim}")
-        compiled = _COMPILERS[kind](self.stack, self.n_cos)
-        self._evaluator, samples, slack, self.slope_bound = compiled
+        self._evaluator, certificate = _COMPILERS[kind](self.stack, self.n_cos)
+        samples, slack, self.slope_bound = certificate()
         self.definiteness, self.norm_bound = _certified_spectrum(samples, slack)
 
     # -- constructors --------------------------------------------------
@@ -168,19 +170,23 @@ class HessianPath:
             raise ValueError(f"time {ts[outside][0]} outside the generator domain [0, 1]")
         return self._evaluator(np.minimum(np.maximum(ts, 0.0), 1.0))
 
-    def _map(self, f) -> "HessianPath":
-        return HessianPath(self.kind, [f(m) for m in self.stack], self.n_cos)
-
     def negated(self) -> "HessianPath":
-        """The generator -S(t), e.g. to treat a minimizer as a maximizer of -H."""
-        return self._map(np.negative)
+        """The generator -S(t), e.g. to treat a minimizer as a maximizer of -H.
+        The bounds hold as they are and the definiteness swaps; only the
+        evaluator is compiled again, from the negated stack."""
+        neg = copy.copy(self)
+        neg.stack = np.negative(self.stack)
+        neg.stack.flags.writeable = False
+        neg._evaluator = _COMPILERS[self.kind](neg.stack, self.n_cos)[0]
+        neg.definiteness = _NEGATED.get(self.definiteness, INDEFINITE)
+        return neg
 
     def congruent(self, c) -> "HessianPath":
         """The congruent generator c^T S(t) c (used for conjugation invariance)."""
         c = np.asarray(c, dtype=float)
         if c.shape != (self.dim, self.dim):
             raise ValueError("congruence matrix shape mismatch")
-        return self._map(lambda m: c.T @ m @ c)
+        return HessianPath(self.kind, [c.T @ m @ c for m in self.stack], self.n_cos)
 
     def to_payload(self) -> dict:
         """JSON-serializable description (used by scenario files and reports)."""
@@ -218,14 +224,14 @@ def _fourier_parts(stack: np.ndarray, n_cos: int):
 
 
 # Each compiler returns the evaluator t -> S(t) for a float array t of any
-# shape, sample matrices S(t_i), a slack (scalar or one per sample) such
-# that every t in [0, 1] has a sample with ||S(t) - S(t_i)||_2 <= slack_i,
-# and a bound on ||S'(t)||_2 over [0, 1].
+# shape, and a function that returns sample matrices S(t_i), a slack (scalar
+# or one per sample) such that every t in [0, 1] has a sample with
+# ||S(t) - S(t_i)||_2 <= slack_i, and a bound on ||S'(t)||_2 over [0, 1].
 
 
 def _compile_constant(stack, n_cos):
     m = stack[0]
-    return (lambda t: np.ones(t.shape + (1, 1)) * m), stack, 0.0, 0.0
+    return (lambda t: np.ones(t.shape + (1, 1)) * m), lambda: (stack, 0.0, 0.0)
 
 
 def _compile_fourier(stack, n_cos):
@@ -244,12 +250,14 @@ def _compile_fourier(stack, n_cos):
             out += terms[..., j, :, :]
         return out
 
-    # ||S'(t)||_2 <= L = 2 pi sum_k k (||A_k||_2 + ||B_k||_2), and every t is
-    # within half a grid step of a grid time.
-    lipschitz = 2.0 * math.pi * float(k[1:] @ np.linalg.norm(stack[1:], 2, axis=(1, 2)))
-    grid = np.linspace(0.0, 1.0, _CLASSIFY_GRID)
-    samples = evaluator(grid)
-    return evaluator, samples, lipschitz * 0.5 / (_CLASSIFY_GRID - 1), lipschitz
+    def certificate():
+        # ||S'(t)||_2 <= L = 2 pi sum_k k (||A_k||_2 + ||B_k||_2), and every t
+        # is within half a grid step of a grid time.
+        lipschitz = 2.0 * math.pi * float(k[1:] @ np.linalg.norm(stack[1:], 2, axis=(1, 2)))
+        samples = evaluator(np.linspace(0.0, 1.0, _CLASSIFY_GRID))
+        return samples, lipschitz * 0.5 / (_CLASSIFY_GRID - 1), lipschitz
+
+    return evaluator, certificate
 
 
 def _slope_system(x: np.ndarray):
@@ -320,12 +328,15 @@ def _compile_sampled(stack, n_cos):
         value += c3 * (ss * s)
         return value
 
-    # On knot interval i, S(t) - S(t_i) = sum_{j=1..3} c[j, i] (t - t_i)^j.
-    h = np.diff(x)
-    norms = np.linalg.norm(coef[1:], 2, axis=(-2, -1))
-    slack = norms[0] * h + norms[1] * h**2 + norms[2] * h**3
-    slope = norms[0] + 2.0 * norms[1] * h + 3.0 * norms[2] * h**2
-    return evaluator, stack[:-1], slack, float(slope.max())
+    def certificate():
+        # On knot interval i, S(t) - S(t_i) = sum_{j=1..3} c[j, i] (t - t_i)^j.
+        h = np.diff(x)
+        norms = np.linalg.norm(coef[1:], 2, axis=(-2, -1))
+        slack = norms[0] * h + norms[1] * h**2 + norms[2] * h**3
+        slope = norms[0] + 2.0 * norms[1] * h + 3.0 * norms[2] * h**2
+        return stack[:-1], slack, float(slope.max())
+
+    return evaluator, certificate
 
 
 _COMPILERS = {
@@ -388,9 +399,9 @@ class SymplecticPath:
 
     Node matrices are validated at construction: finite entries, unit start,
     symplectic residual and determinant defect both below 1e-9.  It keeps
-    certified bounds on sigma_min and sigma_max of Psi_i - I, which certify
-    node intervals for the crossing scan (see `_node_sigma_bounds`; the last
-    node's are exact), and the graph phase for the spectral flow.
+    ``end_sigma``, the singular values of Psi(t_end) - I (descending), where
+    nondegeneracy is decided; node sigma bounds (`sigma_min_nodes`) and graph
+    phases (`graph_phase`) are computed on demand, where the scan reads them.
     Instances are immutable by convention and thread-safe.
     """
 
@@ -402,9 +413,7 @@ class SymplecticPath:
     generator: HessianPath
     max_symplectic_residual: float = field(init=False)
     max_det_error: float = field(init=False)
-    _sigma_nodes: np.ndarray = field(init=False, repr=False)
-    _sigma_max_nodes: np.ndarray = field(init=False, repr=False)
-    _phase_nodes: np.ndarray = field(init=False, repr=False)
+    end_sigma: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not np.isfinite(self.matrices).all():
@@ -423,29 +432,20 @@ class SymplecticPath:
             )
         if self.max_det_error > _NODE_RESIDUAL_TOL:
             raise IntegrationError(f"determinant defect {self.max_det_error:.3e} exceeds 1e-9")
-        self._sigma_nodes, self._sigma_max_nodes = _node_sigma_bounds(self.matrices)
-        # The last node is t_end, where nondegeneracy is decided and reported.
-        end = np.linalg.svd(self.matrices[-1] - np.eye(self.dim), compute_uv=False)
-        self._sigma_nodes[-1], self._sigma_max_nodes[-1] = end[-1], end[0]
-        self._phase_nodes = graph_phase(self.matrices)
+        self.end_sigma = np.linalg.svd(self.matrices[-1] - np.eye(self.dim), compute_uv=False)
 
     @property
     def grid_spacing(self) -> float:
         return (self.t_end - self.t_start) / (len(self.times) - 1)
 
-    def sigma_min_nodes(self) -> np.ndarray:
-        """A certified lower bound on sigma_min(Psi(t_i) - I) at every node,
-        computed at construction; exact (one SVD) at the last node."""
-        return self._sigma_nodes
-
-    def sigma_max_nodes(self) -> np.ndarray:
-        """A certified upper bound on sigma_max(Psi(t_i) - I) at every node,
-        so ||Psi(t_i)||_2 <= 1 + it; exact (one SVD) at the last node."""
-        return self._sigma_max_nodes
-
-    def phase_nodes(self) -> np.ndarray:
-        """`graph_phase` at every node, computed at construction."""
-        return self._phase_nodes
+    def sigma_min_nodes(self, nodes) -> tuple[np.ndarray, np.ndarray]:
+        """Certified bounds, lower on sigma_min and upper on sigma_max, of
+        Psi(t_i) - I at the node index array ``nodes`` (`_node_sigma_bounds`), so
+        ||Psi(t_i)||_2 <= 1 + the upper one; exact at the last node."""
+        lower, upper = _node_sigma_bounds(self.matrices[nodes])
+        end = nodes == len(self.times) - 1
+        lower[end], upper[end] = self.end_sigma[-1], self.end_sigma[0]
+        return lower, upper
 
 
 def _node_sigma_bounds(psis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -528,23 +528,35 @@ def _principal(x: np.ndarray) -> np.ndarray:
 
 
 def phase_window(path: SymplecticPath, a: float, b: float):
-    """Node mask, sample times ts (a, the nodes inside, b), Psi(a) and
-    Psi(b), a continuous lift of `graph_phase` at the samples, sub-steps.
+    """Sample times ts (a, the nodes inside, b), ``base`` (node base + k is
+    sample k and the base node of interval [ts[k], ts[k + 1]]), the stride,
+    Psi(a) and Psi(b), a continuous lift of `graph_phase` at the coarse
+    samples 0, stride, 2 stride, ..., len(ts) - 1, and sub-steps.
 
     The phase moves by at most dim ||S(t)||_2 per unit time (its derivative
     is 2 tr((I + Psi^T Psi)^{-1} Psi^T S Psi), and the singular values s,
     1/s of a symplectic Psi give weights s^2 / (1 + s^2) summing to dim/2).
-    A step where this bound, with ``norm_bound``, reaches a quarter turn is
-    cut into sub-steps by `evaluate`, so no principal difference aliases;
-    the sub-steps map each cut step i, [ts[i], ts[i + 1]], to the inner
-    times, their Psi and their lifted phases.
+    The stride is the largest power of two, up to half the samples, over
+    which this bound, with ``norm_bound``, stays under a quarter turn, so no
+    principal difference aliases, and sample k is one principal step from
+    coarse sample k // stride.  At stride 1 a step where the bound reaches a
+    quarter turn is cut into sub-steps by `evaluate`; the sub-steps map each
+    cut step i to the inner times, their Psi and their lifted phases.
     """
-    inner = (path.times > a + 1e-14) & (path.times < b - 1e-14)
-    ts = np.concatenate(([a], path.times[inner], [b]))
+    first = int(np.searchsorted(path.times, a + 1e-14, "right"))
+    stop = int(np.searchsorted(path.times, b - 1e-14, "left"))
+    ts = np.concatenate(([a], path.times[first:stop], [b]))
+    rate, step = path.dim * path.generator.norm_bound, float(np.diff(ts).max())
+    stride = 1
+    while 2 * stride < len(ts) and rate * 2 * stride * step < _QUARTER_TURN:
+        stride *= 2
+    coarse = np.append(np.arange(0, len(ts) - 1, stride), len(ts) - 1)
     ends = np.stack((evaluate(path, a), evaluate(path, b)))
     end_phase = graph_phase(ends)
-    raw = np.concatenate((end_phase[:1], path.phase_nodes()[inner], end_phase[1:]))
-    parts = np.floor(path.dim * path.generator.norm_bound * np.diff(ts) / _QUARTER_TURN)
+    raw = np.concatenate((end_phase[:1], graph_phase(path.matrices[first - 1 + coarse[1:-1]]),
+                          end_phase[1:]))
+    tc = ts[coarse]
+    parts = np.floor(rate * np.diff(tc) / _QUARTER_TURN) if stride == 1 else np.zeros(len(tc) - 1)
     if parts.max() >= _PHASE_SUBSTEPS_MAX:
         raise CrossingResolutionError(
             f"the graph phase may move by {parts.max():.0f} quarter turns in one grid "
@@ -553,7 +565,7 @@ def phase_window(path: SymplecticPath, a: float, b: float):
     worst = np.abs(steps[parts == 0]).max(initial=0.0)
     subs = {}
     for i in np.flatnonzero(parts):
-        times = np.linspace(ts[i], ts[i + 1], int(parts[i]) + 2)[1:-1]
+        times = np.linspace(tc[i], tc[i + 1], int(parts[i]) + 2)[1:-1]
         psis = np.stack([evaluate(path, t) for t in times])
         moves = _principal(np.diff(np.concatenate(
             (raw[i:i + 1], graph_phase(psis), raw[i + 1:i + 2]))))
@@ -565,7 +577,8 @@ def phase_window(path: SymplecticPath, a: float, b: float):
             f"graph phase moves by {worst:.3f} rad in one sample step (limit pi/2); "
             f"refine steps")
     lift = raw[0] + np.concatenate(([0.0], np.cumsum(steps)))
-    return inner, ts, ends, lift, {i: (t, p, lift[i] + m) for i, (t, p, m) in subs.items()}
+    subs = {i: (t, p, lift[i] + m) for i, (t, p, m) in subs.items()}
+    return ts, first - 1, stride, ends, lift, subs
 
 
 def interpolant_bound(path: SymplecticPath) -> tuple[float, float, float]:

@@ -41,7 +41,7 @@ def check_nondegenerate(path: SymplecticPath) -> bool:
     Tests sigma_min(Psi(t_end) - I) against 1e-6 * ||Psi(t_end)||, i.e.
     nondegeneracy in the Floer sense at the final time.
     """
-    smin = float(path.sigma_min_nodes()[-1])
+    smin = float(path.end_sigma[-1])
     return smin > DEGENERACY_RATIO * float(np.linalg.norm(path.matrices[-1], 2))
 
 
@@ -200,8 +200,8 @@ def verify_theorem(scenario, steps: int | None = None, epsilon: float | None = N
         "symplectic_residual_min_path": path_min.max_symplectic_residual,
         "det_error_max_path": path_max.max_det_error,
         "det_error_min_path": path_min.max_det_error,
-        "sigma_min_at_1_max_path": float(path_max.sigma_min_nodes()[-1]),
-        "sigma_min_at_1_min_path": float(path_min.sigma_min_nodes()[-1]),
+        "sigma_min_at_1_max_path": float(path_max.end_sigma[-1]),
+        "sigma_min_at_1_min_path": float(path_min.end_sigma[-1]),
         "cz_concatenation_mismatch_halves": float(diff_halves - cz_interval.half_units),
     }
     cert = getattr(scenario, "normalization_certificate", None)

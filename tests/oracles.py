@@ -32,7 +32,7 @@ from hoferlab import (
     evaluate,
     integrate,
 )
-from hoferlab.crossings import ENDPOINT_TOL, _scan_closed
+from hoferlab.crossings import ENDPOINT_TOL, KERNEL_RATIO, _certified, _scan_closed
 from hoferlab.flows import MIN_STEPS, _magnus_exponent
 from hoferlab.symplectic import standard_structure, symplectic_expm
 
@@ -108,6 +108,15 @@ def random_negdef_fourier(dim: int, rng: np.random.Generator, kmax: int = 2) -> 
     return HessianPath.fourier(s0, cos, sin)
 
 
+def random_indefinite_fourier(dim: int, rng: np.random.Generator) -> HessianPath:
+    """A random one-harmonic Fourier generator whose mean spans [-6, 4]."""
+    m = _sym(rng.normal(size=(dim, dim)))
+    gen = HessianPath.fourier(np.diag(np.linspace(-6.0, 4.0, dim)) + m, [m],
+                              [np.diag(np.linspace(1.0, -1.0, dim))])
+    assert gen.definiteness == "indefinite"
+    return gen
+
+
 def random_nondegenerate_negdef(dim: int, rng: np.random.Generator, steps: int = 512,
                                 kmax: int = 2, max_tries: int = 60):
     """Draw until the path is negative definite and safely nondegenerate at 1.
@@ -173,6 +182,19 @@ def integrate_stepwise(generator: HessianPath, t_start: float = 0.0, t_end: floa
             mats[k + 1] = psi
     return SymplecticPath(dim=d, t_start=t_start, t_end=t_end, times=times,
                           matrices=mats, generator=generator)
+
+
+def exact_gate(path: SymplecticPath, ts: np.ndarray, base: int, _stride: int,
+               end_sigma: np.ndarray, bound):
+    """Reference for `crossings._open_intervals`: `_certified` on each single
+    sample interval, from an SVD at every node of the window."""
+    sv = np.linalg.svd(path.matrices[base + np.arange(len(ts) - 1)] - np.eye(path.dim),
+                       compute_uv=False)
+    sigma = np.concatenate(([end_sigma[0]], sv[1:, -1], [end_sigma[1]]))
+    norms = 1.0 + sv[:, 0]
+    open_ = np.flatnonzero(~_certified(sigma[:-1], sigma[1:], np.diff(ts), norms, bound,
+                                       KERNEL_RATIO))
+    return open_, sigma, norms
 
 
 def crossing_form_index(path, interval=None, policy: str = OPEN_OPEN) -> IndexValue:

@@ -31,7 +31,9 @@ from tests.oracles import (
     constant_planar,
     crossing_form_index,
     crossing_times,
+    exact_gate,
     planar_winding_index,
+    random_indefinite_fourier,
     random_negdef_fourier,
     random_nondegenerate_negdef,
 )
@@ -289,8 +291,8 @@ def test_certified_intervals_hold_no_crossing():
     for gen, steps in _definite_generators(rng):
         assert gen.definiteness != "indefinite"
         path = integrate(gen, 0.0, 1.0, steps)
-        ts, sigma = path.times, path.sigma_min_nodes()
-        norms = 1.0 + path.sigma_max_nodes()[:-1]
+        ts, (sigma, upper) = path.times, path.sigma_min_nodes(np.arange(len(path.times)))
+        norms = 1.0 + upper[:-1]
         certified = np.flatnonzero(crossings_module._certified(
             sigma[:-1], sigma[1:], np.diff(ts), norms, interpolant_bound(path),
             crossings_module.KERNEL_RATIO))
@@ -309,22 +311,13 @@ def test_certified_intervals_hold_no_crossing():
     assert certified_total > 1000
 
 
-def _exact_gate(path, ts, inner, end_sigma, widths, bound):
-    """`_open_intervals` as the gate read it when every node had an SVD."""
-    sigma_nodes = np.linalg.svd(path.matrices - np.eye(path.dim), compute_uv=False)
-    sigma = np.concatenate(([end_sigma[0]], sigma_nodes[inner, -1], [end_sigma[1]]))
-    base = np.searchsorted(path.times, 0.5 * (ts[:-1] + ts[1:]), "right") - 1
-    norms = 1.0 + sigma_nodes[base, 0]
-    open_ = np.flatnonzero(~crossings_module._certified(
-        sigma[:-1], sigma[1:], widths, norms, bound, crossings_module.KERNEL_RATIO))
-    return open_, sigma, norms
-
-
 @pytest.mark.parametrize("gram_slack", [None, 1e12])
 def test_gate_on_node_bounds_opens_the_exact_intervals(monkeypatch, gram_slack):
     # The gate on the node bounds, gated again with the exact SVD where it
     # leaves intervals open, opens exactly the intervals of the gate on
-    # exact node sigma, and hands the open intervals exact sigma and norms.
+    # exact node sigma on these paths (in general its spans open a subset,
+    # see test_span_gate_is_sound), and hands the open intervals exact
+    # sigma and norms.
     # Bounds loosened until they open many more intervals (1e12) change
     # nothing, since the exact pass closes them again.
     if gram_slack is not None:
@@ -334,22 +327,21 @@ def test_gate_on_node_bounds_opens_the_exact_intervals(monkeypatch, gram_slack):
     for gen, steps in _definite_generators(rng):
         path = integrate(gen, 0.0, 1.0, steps)
         for a, b in ((0.0, 1.0), (0.3 + 0.1 / steps, 0.8)):
-            inner, ts, ends, phase, _subs = phase_window(path, a, b)
+            ts, base, stride, ends, lift, _subs = phase_window(path, a, b)
             end_sigma = crossings_module._counts(
-                *crossings_module._spectra(ends, phase[[0, -1]]), ends)[3]
-            widths, bound = np.diff(ts), interpolant_bound(path)
+                *crossings_module._spectra(ends, lift[[0, -1]]), ends)[3]
+            bound = interpolant_bound(path)
             open_, sigma, norms = crossings_module._open_intervals(
-                path, ts, inner, end_sigma, widths, bound)
-            ref, ref_sigma, ref_norms = _exact_gate(path, ts, inner, end_sigma, widths, bound)
+                path, ts, base, stride, end_sigma, bound)
+            ref, ref_sigma, ref_norms = exact_gate(path, ts, base, stride, end_sigma, bound)
             assert np.array_equal(open_, ref)
             assert np.array_equal(sigma[open_], ref_sigma[open_])
             assert np.array_equal(sigma[open_ + 1], ref_sigma[open_ + 1])
             assert np.array_equal(norms[open_], ref_norms[open_])
-            bounds = np.concatenate(([end_sigma[0]], path.sigma_min_nodes()[inner],
-                                     [end_sigma[1]]))
-            base = np.searchsorted(path.times, 0.5 * (ts[:-1] + ts[1:]), "right") - 1
+            lower, upper = path.sigma_min_nodes(base + np.arange(len(ts) - 1))
+            bounds = np.concatenate(([end_sigma[0]], lower[1:], [end_sigma[1]]))
             by_bounds = ~crossings_module._certified(
-                bounds[:-1], bounds[1:], widths, 1.0 + path.sigma_max_nodes()[base], bound,
+                bounds[:-1], bounds[1:], np.diff(ts), 1.0 + upper, bound,
                 crossings_module.KERNEL_RATIO)
             assert by_bounds[ref].all()
             opened += len(ref)
@@ -357,6 +349,70 @@ def test_gate_on_node_bounds_opens_the_exact_intervals(monkeypatch, gram_slack):
     assert opened > 10
     if gram_slack is not None:
         assert loose > 10
+
+
+def _cleared_spans(path, ts, base, stride, end_sigma, bound):
+    """The spans (lo, hi) of two or more sample intervals that the walk of
+    `_open_intervals` clears, from the node bounds at every node."""
+    last = len(ts) - 1
+    lower, upper = path.sigma_min_nodes(base + np.arange(last))
+    sigma = np.concatenate(([end_sigma[0]], lower[1:], [end_sigma[1]]))
+    spans = [(lo, min(lo + stride, last)) for lo in range(0, last, stride)]
+    cleared = []
+    while spans:
+        lo, hi = spans.pop()
+        if hi - lo == 1:
+            continue
+        if crossings_module._certified(sigma[lo], sigma[hi], ts[hi] - ts[lo], 1.0 + upper[lo],
+                                       bound, crossings_module.KERNEL_RATIO, hi - lo):
+            cleared.append((lo, hi))
+        else:
+            spans += [(lo, (lo + hi) // 2), ((lo + hi) // 2, hi)]
+    return cleared
+
+
+def test_span_gate_is_sound(monkeypatch):
+    # Spans the coarse-to-fine gate clears, sampled densely (three points a
+    # step): sigma_min stays above the kernel threshold, ||Psi|| within the
+    # span's norm bound, and no eigenangle changes sign.  The gate opens
+    # only intervals that the single-interval gate on exact sigma opens,
+    # among them every interval with a crossing, and the scan finds what
+    # the scan on that gate finds, bit for bit.
+    rng = np.random.default_rng(2718)
+    evaluate = crossings_module.evaluate
+    paths = [integrate(gen, 0.0, 1.0, steps) for gen, steps in _definite_generators(rng)]
+    paths += [integrate(random_indefinite_fourier(dim, rng), 0.0, 1.0, 256) for dim in (2, 4, 6)]
+    spans = 0
+    for path in paths:
+        ts, base, stride, ends, lift, _subs = phase_window(path, 0.0, 1.0)
+        end_sigma = crossings_module._counts(
+            *crossings_module._spectra(ends, lift[[0, -1]]), ends)[3]
+        bound = interpolant_bound(path)
+        _slope, growth, pade = bound
+        for lo, hi in _cleared_spans(path, ts, base, stride, end_sigma, bound):
+            spans += 1
+            norm = 1.0 + path.sigma_min_nodes(np.array([base + lo]))[1][0]
+            reach = (growth + pade) * crossings_module._span_norm(norm, bound, hi - lo)
+            psis = np.stack([evaluate(path, t)
+                             for t in np.linspace(ts[lo], ts[hi], 3 * (hi - lo) + 1)])
+            smin = np.linalg.svd(psis - np.eye(path.dim), compute_uv=False)[:, -1]
+            scale = np.linalg.norm(psis, 2, axis=(1, 2))
+            assert (smin > crossings_module.KERNEL_RATIO * scale).all()
+            assert (scale <= reach).all()
+            assert _sign_changes(psis) == (0, 0)
+        open_ = crossings_module._open_intervals(path, ts, base, stride, end_sigma, bound)[0]
+        assert np.isin(open_, exact_gate(path, ts, base, stride, end_sigma, bound)[0]).all()
+        found = find_crossings(path)
+        with monkeypatch.context() as patch:
+            patch.setattr(crossings_module, "_open_intervals", exact_gate)
+            reference = find_crossings(path)
+        assert [(c.time, c.multiplicity, c.signature, c.regular) for c in found] == [
+            (c.time, c.multiplicity, c.signature, c.regular) for c in reference]
+        assert all(np.array_equal(c.kernel_basis, r.kernel_basis)
+                   for c, r in zip(found, reference))
+        held = np.searchsorted(ts, [c.time for c in found], "right") - 1
+        assert np.isin(np.minimum(held, len(ts) - 2), open_).all()
+    assert spans > 100
 
 
 @settings(max_examples=12, deadline=None)

@@ -43,6 +43,7 @@ from tests.oracles import (
     integrate_stepwise,
     planar_flow,
     TWO_PI,
+    random_indefinite_fourier,
     random_negdef_fourier,
     random_symplectic,
 )
@@ -183,6 +184,11 @@ def test_transforms_keep_kind_and_values(gen):
                   [0.5, 0.0, 2.0, 0.0], [0.0, 0.0, 0.1, 1.0]])
     neg, cong = gen.negated(), gen.congruent(c)
     assert neg.kind == cong.kind == gen.kind
+    # The negation keeps the bounds and swaps the tag without recomputing
+    # them, as a generator built from the negated stack computes them.
+    rebuilt = HessianPath(gen.kind, -gen.stack, gen.n_cos)
+    assert (neg.norm_bound, neg.slope_bound, neg.definiteness) == (
+        rebuilt.norm_bound, rebuilt.slope_bound, rebuilt.definiteness)
     for t in (0.0, 0.13, 0.5, 0.77, 1.0):
         assert np.array_equal(neg(t), -gen(t))
         assert np.allclose(cong(t), c.T @ gen(t) @ c, atol=1e-13)
@@ -272,7 +278,7 @@ def test_graph_phase_rate_is_bounded(rng):
         gen = HessianPath.fourier(-4.0 * np.eye(dim) + 0.5 * (m + m.T), [0.3 * (m + m.T)])
         for g in (gen, HessianPath.fourier(0.3 * (m + m.T))):
             path = integrate(g, 0.0, 1.0, 2048)
-            moves = np.angle(np.exp(1j * np.diff(path.phase_nodes())))
+            moves = np.angle(np.exp(1j * np.diff(graph_phase(path.matrices))))
             assert np.abs(moves).max() <= dim * g.norm_bound * path.grid_spacing
 
 
@@ -308,22 +314,15 @@ def _assert_sigma_bounds(psis: np.ndarray, lower: np.ndarray, upper: np.ndarray)
     assert (upper <= sigma[:, 0] + 1e-5 * frobenius).all()
 
 
-def _indefinite_fourier(dim: int, rng) -> HessianPath:
-    m = rng.normal(size=(dim, dim))
-    gen = HessianPath.fourier(np.diag(np.linspace(-6.0, 4.0, dim)) + 0.5 * (m + m.T),
-                              [0.5 * (m + m.T)], [np.diag(np.linspace(1.0, -1.0, dim))])
-    assert gen.definiteness == "indefinite"
-    return gen
-
-
 @pytest.mark.parametrize("dim", [2, 4, 6])
 def test_node_sigma_bounds_hold_on_random_paths(rng, dim):
-    for gen in (random_negdef_fourier(dim, rng), _indefinite_fourier(dim, rng)):
+    for gen in (random_negdef_fourier(dim, rng), random_indefinite_fourier(dim, rng)):
         path = integrate(gen, 0.0, 1.0, 512)
-        _assert_sigma_bounds(path.matrices, path.sigma_min_nodes(), path.sigma_max_nodes())
+        lower, upper = path.sigma_min_nodes(np.arange(len(path.times)))
+        _assert_sigma_bounds(path.matrices, lower, upper)
         # The last node, where nondegeneracy is decided, is exact.
         end = np.linalg.svd(path.matrices[-1] - np.eye(dim), compute_uv=False)
-        assert path.sigma_min_nodes()[-1] == end[-1] and path.sigma_max_nodes()[-1] == end[0]
+        assert lower[-1] == end[-1] and upper[-1] == end[0]
 
 
 @pytest.mark.parametrize("dim", [2, 4, 6])
@@ -462,8 +461,9 @@ def _generator(kind: str, dim: int, rng) -> HessianPath:
 def _assert_same_path(path, ref):
     assert np.array_equal(path.times, ref.times)
     assert np.array_equal(path.matrices, ref.matrices)
-    assert np.array_equal(path.sigma_min_nodes(), ref.sigma_min_nodes())
-    assert np.array_equal(path.phase_nodes(), ref.phase_nodes())
+    nodes = np.arange(len(ref.times))
+    assert np.array_equal(path.sigma_min_nodes(nodes), ref.sigma_min_nodes(nodes))
+    assert np.array_equal(graph_phase(path.matrices), graph_phase(ref.matrices))
 
 
 @pytest.mark.parametrize("dim", [2, 4, 6])
