@@ -13,7 +13,6 @@ from .crossings import (
     RS_HALVES,
     Crossing,
     IndexValue,
-    concatenation_check,
     crossing_form,
     find_crossings,
     rs_index,
@@ -78,7 +77,7 @@ __all__ = [
     "HessianPath", "SymplecticPath", "integrate", "evaluate", "restrict", "direct_sum",
     # crossings
     "OPEN_OPEN", "RS_HALVES", "Crossing", "IndexValue", "find_crossings",
-    "crossing_form", "rs_index", "concatenation_check",
+    "crossing_form", "rs_index",
     # morse
     "IndexReport", "admissible_epsilon", "check_nondegenerate", "morse_index",
     "verify_theorem",

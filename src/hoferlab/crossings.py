@@ -31,6 +31,7 @@ import numpy as np
 from .errors import CrossingResolutionError, EndpointCrossingError
 from .flows import (
     INDEFINITE,
+    _DOMAIN_SLACK,
     SymplecticPath,
     _principal,
     evaluate,
@@ -48,7 +49,6 @@ __all__ = [
     "find_crossings",
     "crossing_form",
     "rs_index",
-    "concatenation_check",
 ]
 
 OPEN_OPEN = "open_open"
@@ -326,20 +326,17 @@ def _bisect(path: SymplecticPath, runs: list, lo: float, hi: float, s_lo: float,
 def _open_intervals(path: SymplecticPath, ts: np.ndarray, base: int, stride: int,
                     end_sigma: np.ndarray, bound):
     """The sample intervals [ts[k], ts[k + 1]] that the gate does not clear,
-    sigma_min(Psi - I) at the samples and the norm bounds
-    1 + sigma_max(Psi_i - I) at each interval's base node Psi_i, exact
-    wherever an open interval reads them.
+    lower bounds on sigma_min(Psi - I) at the samples and upper bounds on
+    the norms 1 + sigma_max(Psi_i - I) at each interval's base node Psi_i,
+    read wherever an open interval reads them.
 
     The samples are the window ends (``end_sigma`` is exact there) and the
     nodes between them (``base`` and ``stride`` from `flows.phase_window`).
     Spans of ``stride`` intervals are gated by `_certified` on the node
     bounds of `SymplecticPath.sigma_min_nodes` at their ends, and those it
     does not clear are split at their middle sample, level by level, down
-    to single intervals; those are gated again with one SVD at each of
-    their nodes and base nodes.  Bounds never clear an interval that exact
-    values open, so every interval returned is opened by the single-interval
-    gate on exact sigma, and every interval that holds a crossing is
-    returned.
+    to single intervals, which stay open.  Every interval that holds a
+    crossing is returned.
     """
     last = len(ts) - 1
     sigma, norms = np.empty(last + 1), np.empty(last)
@@ -356,16 +353,7 @@ def _open_intervals(path: SymplecticPath, ts: np.ndarray, base: int, stride: int
         leaves.append(lo[keep & ~split])
         new = (lo[split] + hi[split]) // 2
         lo, hi = np.concatenate((lo[split], new)), np.concatenate((new, hi[split]))
-    open_ = np.sort(np.concatenate(leaves))
-    # Ends of open intervals (the window ends are exact already) and base nodes.
-    hits = np.bincount(np.concatenate((open_, open_ + 1)), minlength=last + 1)
-    samples = np.flatnonzero(hits[1:-1]) + 1
-    exact = np.linalg.svd(path.matrices[base + np.concatenate((samples, open_))]
-                          - np.eye(path.dim), compute_uv=False)
-    sigma[samples], norms[open_] = exact[:len(samples), -1], 1.0 + exact[len(samples):, 0]
-    open_ = open_[~_certified(sigma[open_], sigma[open_ + 1], ts[open_ + 1] - ts[open_],
-                              norms[open_], bound, KERNEL_RATIO)]
-    return open_, sigma, norms
+    return np.sort(np.concatenate(leaves)), sigma, norms
 
 
 def _halves(crossings: list[Crossing], a: float, b: float) -> int:
@@ -456,7 +444,7 @@ def find_crossings(path: SymplecticPath,
     structural identity crossing at the start of every path.
     """
     a, b = window if window is not None else (path.t_start, path.t_end)
-    if not (path.t_start - 1e-12 <= a < b <= path.t_end + 1e-12):
+    if not (path.t_start - _DOMAIN_SLACK <= a < b <= path.t_end + _DOMAIN_SLACK):
         raise ValueError(f"window ({a}, {b}] outside path domain")
     crossings = _scan_closed(path, max(a, path.t_start), min(b, path.t_end))
     return [c for c in crossings if c.time > a + ENDPOINT_TOL]
@@ -479,7 +467,7 @@ def rs_index(path: SymplecticPath, interval: tuple[float, float] | None = None,
     if policy not in (OPEN_OPEN, RS_HALVES):
         raise ValueError(f"unknown endpoint policy {policy!r}")
     a, b = interval if interval is not None else (path.t_start, path.t_end)
-    if not (path.t_start - 1e-12 <= a < b <= path.t_end + 1e-12):
+    if not (path.t_start - _DOMAIN_SLACK <= a < b <= path.t_end + _DOMAIN_SLACK):
         raise ValueError(f"interval ({a}, {b}) outside path domain")
     lo, hi = max(a, path.t_start), min(b, path.t_end)
     if policy == OPEN_OPEN and abs(a - path.t_start) <= ENDPOINT_TOL:
@@ -494,16 +482,3 @@ def rs_index(path: SymplecticPath, interval: tuple[float, float] | None = None,
     return IndexValue(half_units=int(count[0] - count[1]), interval=(float(a), float(b)),
                       policy=policy)
 
-
-def concatenation_check(path: SymplecticPath, m: float) -> bool:
-    """Index additivity across a split point that is not a crossing; spectral-flow
-    windows telescope, so this holds by construction."""
-    if not (path.t_start < m < path.t_end):
-        raise ValueError("split point must lie strictly inside the path domain")
-    psi = evaluate(path, m)
-    if _sigma_min(psi) <= 10.0 * KERNEL_RATIO * float(np.linalg.norm(psi, 2)):
-        raise ValueError(f"split point t={m} is a crossing time")
-    whole = rs_index(path, interval=(path.t_start, path.t_end))
-    left = rs_index(path, interval=(path.t_start, m))
-    right = rs_index(path, interval=(m, path.t_end))
-    return whole.half_units == left.half_units + right.half_units

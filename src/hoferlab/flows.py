@@ -59,6 +59,8 @@ _QUARTER_TURN = 0.5 * math.pi
 _PHASE_SUBSTEPS_MAX = 64
 # Steps per numpy call in `integrate`; larger blocks cost memory, not speed.
 _BLOCK_STEPS = 512
+# Times this far outside a path's or generator's domain still count as inside.
+_DOMAIN_SLACK = 1e-12
 
 
 def _require_symmetric(m: np.ndarray, what: str) -> np.ndarray:
@@ -165,7 +167,7 @@ class HessianPath:
         """S(t) for a time t, or the stack of S at an array of times, with
         shape t.shape + (d, d); array and scalar calls agree bit for bit."""
         ts = np.asarray(t, dtype=float)
-        outside = (ts < -1e-12) | (ts > 1.0 + 1e-12)
+        outside = (ts < -_DOMAIN_SLACK) | (ts > 1.0 + _DOMAIN_SLACK)
         if outside.any():
             raise ValueError(f"time {ts[outside][0]} outside the generator domain [0, 1]")
         return self._evaluator(np.minimum(np.maximum(ts, 0.0), 1.0))
@@ -674,7 +676,7 @@ def evaluate(path: SymplecticPath, t: float) -> np.ndarray:
     a single Magnus sub-step from the nearest earlier node.  Polynomial
     interpolation is never used, since it would break symplecticity.
     """
-    if t < path.t_start - 1e-12 or t > path.t_end + 1e-12:
+    if t < path.t_start - _DOMAIN_SLACK or t > path.t_end + _DOMAIN_SLACK:
         raise ValueError(f"time {t} outside path domain [{path.t_start}, {path.t_end}]")
     t = min(max(t, path.t_start), path.t_end)
     idx = int(np.searchsorted(path.times, t, side="right")) - 1
@@ -694,7 +696,7 @@ def restrict(path: SymplecticPath, a: float, b: float) -> SymplecticPath:
     The result starts at the identity and is the linearized flow of the same
     generator on the sub-interval (cocycle property).
     """
-    if not (path.t_start - 1e-12 <= a < b <= path.t_end + 1e-12):
+    if not (path.t_start - _DOMAIN_SLACK <= a < b <= path.t_end + _DOMAIN_SLACK):
         raise ValueError(f"invalid restriction window [{a}, {b}]")
     a = min(max(a, path.t_start), path.t_end)
     b = min(max(b, path.t_start), path.t_end)

@@ -3,10 +3,10 @@
 The Morse index of a geodesic scenario with respect to the positive Hofer
 length is the sum of conjugate-time multiplicities of the linearized flow
 at the maximizer over (0, 1).  `verify_theorem` computes that sum from the
-crossing scan and, independently, the Conley-Zehnder values CZ at times
-epsilon and 1 as spectral flows of the graph phase (half-weighted identity
-crossing at t = 0 cancels in the difference), and checks that the Morse
-index equals |CZ(1) - CZ(eps)|.
+crossing scan and, independently, CZ(eps) and the index on (eps, 1] as
+spectral flows of the graph phase (CZ(1) is their sum, and the
+half-weighted identity crossing at t = 0 cancels in the difference), and
+checks that the Morse index equals |CZ(1) - CZ(eps)|.
 """
 
 from __future__ import annotations
@@ -141,13 +141,11 @@ def verify_theorem(scenario, steps: int | None = None, epsilon: float | None = N
     """Check the Morse-index / Conley-Zehnder identity on a scenario.
 
     Computes the conjugate-time multiplicity sum at the maximizer from the
-    crossing scan (theorem left-hand side), the signed Robbin-Salamon
-    values CZ(eps) and CZ(1) with half-weighted endpoints from t = 0 as
-    spectral flows of the graph phase (right-hand side |CZ(1) - CZ(eps)|),
-    and the minimizer-side index from the negated Hessian path.  The verdict
-    also requires CZ(1) - CZ(eps) to match the index on (eps, 1], which
-    holds by construction (spectral-flow windows telescope) and is kept as a
-    report field, not as an independent check.
+    crossing scan (theorem left-hand side), and from the graph phase two
+    spectral flows: CZ(eps), with half-weighted endpoints from t = 0, and
+    the index on (eps, 1] (right-hand side, its absolute value).  Windows
+    add up, so CZ(1) is their sum; the minimizer-side index comes from the
+    negated Hessian path.  The verdict is lhs == rhs.
 
     Raises ScenarioValidationError for structurally invalid scenarios and
     DegenerateEndpointError when either side's time-1 flow has eigenvalue 1.
@@ -184,16 +182,13 @@ def verify_theorem(scenario, steps: int | None = None, epsilon: float | None = N
                 f"epsilon {eps} is not admissible: first crossing at t={first_tau:.6f}"
             )
 
+    # Spectral-flow windows add up, so CZ(1) is CZ(eps) plus the index on
+    # (eps, 1]; that window's ends are kernel-free, so its half-units are even.
     cz_eps = rs_index(path_max, interval=(0.0, eps), policy=RS_HALVES)
-    cz_one = rs_index(path_max, interval=(0.0, 1.0), policy=RS_HALVES)
     cz_interval = rs_index(path_max, interval=(eps, 1.0), policy=OPEN_OPEN)
-
-    diff_halves = cz_one.half_units - cz_eps.half_units
-    concat_ok = diff_halves == cz_interval.half_units
-    integer_ok = diff_halves % 2 == 0
+    cz_one = IndexValue(cz_eps.half_units + cz_interval.half_units, (0.0, 1.0), RS_HALVES)
     lhs = morse_plus
-    rhs = abs(diff_halves) // 2
-    verdict = concat_ok and integer_ok and (lhs == rhs)
+    rhs = abs(cz_interval.half_units) // 2
 
     residuals = {
         "symplectic_residual_max_path": path_max.max_symplectic_residual,
@@ -202,7 +197,6 @@ def verify_theorem(scenario, steps: int | None = None, epsilon: float | None = N
         "det_error_min_path": path_min.max_det_error,
         "sigma_min_at_1_max_path": float(path_max.end_sigma[-1]),
         "sigma_min_at_1_min_path": float(path_min.end_sigma[-1]),
-        "cz_concatenation_mismatch_halves": float(diff_halves - cz_interval.half_units),
     }
     cert = getattr(scenario, "normalization_certificate", None)
     if cert is not None:
@@ -222,6 +216,6 @@ def verify_theorem(scenario, steps: int | None = None, epsilon: float | None = N
         cz_interval=cz_interval,
         theorem_lhs=lhs,
         theorem_rhs=rhs,
-        verdict=verdict,
+        verdict=lhs == rhs,
         residuals=residuals,
     )

@@ -7,8 +7,9 @@ than the package's spectral flow: from the crossing forms of the scan, from
 the inertia of the Cayley transform (on windows clear of eigenvalue -1),
 and (in dimension 2) from the winding of the eigenvalue angle.
 `integrate_stepwise` is the per-step loop that the blocked `integrate` must
-reproduce bit for bit, and `frame_phase` the graph phase from the 2n x 2n
-frame determinant, in exact arithmetic.
+reproduce bit for bit, `frame_phase` the graph phase from the 2n x 2n
+frame determinant, in exact arithmetic, and `concatenation_check` compares
+three separately lifted `rs_index` windows.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ from hoferlab import (
     check_nondegenerate,
     evaluate,
     integrate,
+    rs_index,
 )
-from hoferlab.crossings import ENDPOINT_TOL, KERNEL_RATIO, _certified, _scan_closed
+from hoferlab.crossings import ENDPOINT_TOL, KERNEL_RATIO, _certified, _scan_closed, _sigma_min
 from hoferlab.flows import MIN_STEPS, _magnus_exponent
 from hoferlab.symplectic import standard_structure, symplectic_expm
 
@@ -195,6 +197,20 @@ def exact_gate(path: SymplecticPath, ts: np.ndarray, base: int, _stride: int,
     open_ = np.flatnonzero(~_certified(sigma[:-1], sigma[1:], np.diff(ts), norms, bound,
                                        KERNEL_RATIO))
     return open_, sigma, norms
+
+
+def concatenation_check(path: SymplecticPath, m: float) -> bool:
+    """Index additivity across a split point that is not a crossing; spectral-flow
+    windows telescope, so this holds by construction."""
+    if not (path.t_start < m < path.t_end):
+        raise ValueError("split point must lie strictly inside the path domain")
+    psi = evaluate(path, m)
+    if _sigma_min(psi) <= 10.0 * KERNEL_RATIO * float(np.linalg.norm(psi, 2)):
+        raise ValueError(f"split point t={m} is a crossing time")
+    whole = rs_index(path, interval=(path.t_start, path.t_end))
+    left = rs_index(path, interval=(path.t_start, m))
+    right = rs_index(path, interval=(m, path.t_end))
+    return whole.half_units == left.half_units + right.half_units
 
 
 def crossing_form_index(path, interval=None, policy: str = OPEN_OPEN) -> IndexValue:

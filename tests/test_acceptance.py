@@ -18,7 +18,6 @@ from hoferlab import (
     DegenerateEndpointError,
     HessianPath,
     StandardStructure,
-    concatenation_check,
     direct_sum,
     evaluate,
     find_crossings,
@@ -35,6 +34,7 @@ from hoferlab import (
 )
 from tests.oracles import (
     TWO_PI,
+    concatenation_check,
     constant_planar,
     crossing_times,
     full_turns,

@@ -260,6 +260,19 @@ def test_flat_profile_is_a_validation_failure(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, options", [
+    ("verify", []),
+    ("sweep", ["--parameter", "lambda", "--min", "1", "--max", "2", "--count", "2",
+               "--steps", "64"]),
+    ("plot", []),
+], ids=["verify", "sweep", "plot"])
+def test_unwritable_output_is_parse_error(tmp_path, capsys, command, options):
+    scn = write_scenario(tmp_path, solver={"steps": 64})
+    out = tmp_path / "missing" / "out"
+    assert main([command, str(scn), *options, "-o", str(out)]) == EXIT_PARSE
+    assert "parse error: cannot write output" in capsys.readouterr().err
+
+
 # -- sweep ------------------------------------------------------------------
 
 

@@ -1,11 +1,11 @@
 """Byte-for-byte `verify` reports for the shipped scenario files and for
 seeded library scenarios.
 
-The scenario golden files were written by
-`hoferlab verify scenarios/<name>.json -o` with the wall time replaced by
-null, the library ones (`library_*.report.json`, `IndexReport.to_dict()`)
-by `python -m tests.test_golden`; any change to a report's bytes, other than
-the wall time, has to be explained and the golden file regenerated.
+`python -m tests.test_golden` writes every golden report: the scenario ones
+by `hoferlab verify scenarios/<name>.json -o` with the wall time replaced by
+null, the library ones (`library_*.report.json`) from `IndexReport.to_dict()`.
+Any change to a report's bytes, other than the wall time, has to be
+explained and the golden files regenerated.
 """
 
 from __future__ import annotations
@@ -70,7 +70,11 @@ def test_library_report_matches_golden(name, scenario, steps):
 
 
 if __name__ == "__main__":
-    # Writes the library golden files: python -m tests.test_golden
+    for scenario in SCENARIOS:
+        path = ROOT / "tests" / "golden" / f"{scenario.stem}.report.json"
+        if main(["verify", str(scenario), "-o", str(path)]) != EXIT_OK:
+            raise SystemExit(f"verify {scenario.name} did not pass")
+        path.write_text(mask_wall_time(path.read_text(encoding="utf-8")), encoding="utf-8")
     for name, scenario, steps in _library_scenarios():
         path = ROOT / "tests" / "golden" / f"library_{name}.report.json"
         path.write_text(_library_report(scenario, steps), encoding="utf-8")

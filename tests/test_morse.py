@@ -156,8 +156,9 @@ def test_theorem_epsilon_override_and_robustness():
 
 
 def test_theorem_computes_each_stage_once(monkeypatch):
-    # One validation, one nondegeneracy check per side, and two scans:
-    # [0, 1] on each side; the CZ values come from the graph phase.
+    # One validation, one nondegeneracy check per side, two scans ([0, 1]
+    # on each side), and two index windows, [0, eps] and (eps, 1]: CZ(1)
+    # is their sum.
     import hoferlab.crossings
     import hoferlab.models
     import hoferlab.morse
@@ -175,12 +176,14 @@ def test_theorem_computes_each_stage_once(monkeypatch):
 
     for module, name in ((hoferlab.models, "validate_ustilovsky"),
                          (hoferlab.morse, "check_nondegenerate"),
-                         (hoferlab.crossings, "_scan_closed")):
+                         (hoferlab.crossings, "_scan_closed"),
+                         (hoferlab.morse, "rs_index")):
         monkeypatch.setattr(module, name, counted(module, name))
     verify_theorem(sphere_height_scenario(13.0), steps=512)
     assert calls.count("validate_ustilovsky") == 1
     assert calls.count("check_nondegenerate") == 2
     assert calls.count("_scan_closed") == 2
+    assert calls.count("rs_index") == 2
 
 
 def test_theorem_rejects_inadmissible_epsilon():
