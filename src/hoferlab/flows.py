@@ -167,7 +167,7 @@ class HessianPath:
         """S(t) for a time t, or the stack of S at an array of times, with
         shape t.shape + (d, d); array and scalar calls agree bit for bit."""
         ts = np.asarray(t, dtype=float)
-        outside = (ts < -_DOMAIN_SLACK) | (ts > 1.0 + _DOMAIN_SLACK)
+        outside = ~((ts >= -_DOMAIN_SLACK) & (ts <= 1.0 + _DOMAIN_SLACK))  # NaN too
         if outside.any():
             raise ValueError(f"time {ts[outside][0]} outside the generator domain [0, 1]")
         return self._evaluator(np.minimum(np.maximum(ts, 0.0), 1.0))
@@ -424,9 +424,17 @@ class SymplecticPath:
             raise IntegrationError("node times must strictly increase")
         if np.abs(self.matrices[0] - np.eye(self.dim)).max() > 1e-12:
             raise IntegrationError("path does not start at the identity")
-        om = standard_structure(self.dim // 2).omega_matrix
-        res = self.matrices.transpose(0, 2, 1) @ om @ self.matrices - om
+        m = self.matrices
+        # M^T Omega by a signed column swap: Omega = -J has entries
+        # Omega[2k, 2k + 1] = 1 and Omega[2k + 1, 2k] = -1, so this is exact.
+        mt_om = np.empty_like(m)
+        np.negative(m[:, 1::2].swapaxes(1, 2), out=mt_om[..., 0::2])
+        mt_om[..., 1::2] = m[:, 0::2].swapaxes(1, 2)
+        res = mt_om @ m
+        del mt_om
+        res -= standard_structure(self.dim // 2).omega_matrix
         self.max_symplectic_residual = float(np.abs(res).max())
+        del res
         self.max_det_error = float(np.abs(np.linalg.det(self.matrices) - 1.0).max())
         if self.max_symplectic_residual > _NODE_RESIDUAL_TOL:
             raise IntegrationError(
@@ -609,20 +617,29 @@ def interpolant_bound(path: SymplecticPath) -> tuple[float, float, float]:
     return rate * growth, growth, 3e-5 * w**7 * growth
 
 
-def _magnus_exponent(generator: HessianPath, J: np.ndarray, t0, h: float) -> np.ndarray:
+def _magnus_exponent(generator: HessianPath, J: np.ndarray, t0, h: float,
+                     first_only: bool = False) -> np.ndarray:
     """Exponent of the Magnus step [t0, t0 + h], or the (m, d, d) stack of
-    exponents for a 1-D array of step starts t0."""
+    exponents for a 1-D array of step starts t0; with ``first_only``, the
+    first step's exponent as a stack of one.
+
+    The generator values at every Gauss node are checked in one pass:
+    max |S - S^T| <= `_SYMMETRY_TOL` holds for no non-finite entry and
+    implies each matrix's own test.  Only when it fails does the per-matrix
+    test run, to report the first bad node.
+    """
     s = generator(np.add.outer(t0, h * _GAUSS_OFFSETS))  # both Gauss nodes of each step
-    scale = np.abs(s).max(axis=(-2, -1))
     with np.errstate(invalid="ignore"):
-        skew = np.abs(s - s.swapaxes(-1, -2)).max(axis=(-2, -1))
-    bad = ~np.isfinite(scale) | (skew > _SYMMETRY_TOL * np.maximum(1.0, scale))
-    if bad.any():
-        # Report the first bad node in time order, finiteness checked first.
-        if not np.isfinite(scale.flat[np.argmax(bad)]):
-            raise IntegrationError("generator returned non-finite values")
-        raise IntegrationError("non-symmetric generator value at a quadrature point")
-    a = J @ s
+        if not np.abs(s - s.swapaxes(-1, -2)).max() <= _SYMMETRY_TOL:
+            scale = np.abs(s).max(axis=(-2, -1))
+            skew = np.abs(s - s.swapaxes(-1, -2)).max(axis=(-2, -1))
+            bad = ~np.isfinite(scale) | (skew > _SYMMETRY_TOL * np.maximum(1.0, scale))
+            if bad.any():
+                # Report the first bad node in time order, finiteness checked first.
+                if not np.isfinite(scale.flat[np.argmax(bad)]):
+                    raise IntegrationError("generator returned non-finite values")
+                raise IntegrationError("non-symmetric generator value at a quadrature point")
+    a = J @ (s[:1] if first_only else s)
     a1, a2 = a[..., 0, :, :], a[..., 1, :, :]
     return 0.5 * h * (a1 + a2) + (math.sqrt(3.0) / 12.0) * h * h * (a2 @ a1 - a1 @ a2)
 
@@ -636,6 +653,10 @@ def integrate(generator: HessianPath, t_start: float = 0.0, t_end: float = 1.0,
     commutator correction.  Node count is steps + 1.  Generator values,
     checks and exponentials are batched per `_BLOCK_STEPS` steps; only the
     running product loops, and Psi equals a step-by-step loop bit for bit.
+    A generator with ``slope_bound == 0.0`` has one value S at every t, so
+    every step has the same exponent: each block still evaluates and checks
+    S at all its quadrature points, but takes one exponential, from its
+    first step, for all its steps.
 
     Parameters
     ----------
@@ -657,11 +678,13 @@ def integrate(generator: HessianPath, t_start: float = 0.0, t_end: float = 1.0,
     h = (t_end - t_start) / steps
     mats = np.empty((steps + 1, d, d))
     mats[0] = np.eye(d)
+    frozen = generator.slope_bound == 0.0
     # Overflow shows up as non-finite nodes and is rejected at construction.
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, steps, _BLOCK_STEPS):
             starts = times[lo:min(lo + _BLOCK_STEPS, steps)]
-            exps = symplectic_expm(_magnus_exponent(generator, J, starts, h))
+            exps = symplectic_expm(_magnus_exponent(generator, J, starts, h, frozen))
+            exps = np.broadcast_to(exps, (len(starts), d, d))  # one per step
             # np.dot: the product of np.matmul without its ufunc dispatch.
             for e, a, b in zip(exps, mats[lo:], mats[lo + 1:]):
                 np.dot(e, a, out=b)
@@ -676,7 +699,7 @@ def evaluate(path: SymplecticPath, t: float) -> np.ndarray:
     a single Magnus sub-step from the nearest earlier node.  Polynomial
     interpolation is never used, since it would break symplecticity.
     """
-    if t < path.t_start - _DOMAIN_SLACK or t > path.t_end + _DOMAIN_SLACK:
+    if not (path.t_start - _DOMAIN_SLACK <= t <= path.t_end + _DOMAIN_SLACK):  # NaN too
         raise ValueError(f"time {t} outside path domain [{path.t_start}, {path.t_end}]")
     t = min(max(t, path.t_start), path.t_end)
     idx = int(np.searchsorted(path.times, t, side="right")) - 1

@@ -24,6 +24,7 @@ from hoferlab import (
     integrate,
     restrict,
     standard_structure,
+    symplectic_expm,
     symplectic_residual,
 )
 from hoferlab.flows import (
@@ -451,10 +452,16 @@ def test_node_count():
 
 def _generator(kind: str, dim: int, rng) -> HessianPath:
     fourier = random_negdef_fourier(dim, rng)
+    s0 = fourier.stack[0]
     if kind == "constant":
-        return HessianPath.constant(fourier.stack[0])
+        return HessianPath.constant(s0)
     if kind == "sampled":
         return HessianPath.sampled(fourier(np.linspace(0.0, 1.0, 65)))
+    # Time-independent generators of the other two kinds.
+    if kind == "flat_fourier":
+        return HessianPath.fourier(s0, [0.0 * s0], [0.0 * s0])
+    if kind == "flat_sampled":
+        return HessianPath.sampled(np.repeat(s0[None], 9, axis=0))
     return fourier
 
 
@@ -467,10 +474,12 @@ def _assert_same_path(path, ref):
 
 
 @pytest.mark.parametrize("dim", [2, 4, 6])
-@pytest.mark.parametrize("kind", ["constant", "fourier", "sampled"])
+@pytest.mark.parametrize("kind", ["constant", "fourier", "sampled", "flat_fourier", "flat_sampled"])
 def test_integrate_matches_stepwise_loop(kind, dim, rng):
     # Step counts below, at and above one block of 512 steps.
     gen = _generator(kind, dim, rng)
+    # A zero slope bound makes `integrate` share one exponential per block.
+    assert (gen.slope_bound > 0.0) == (kind in ("fourier", "sampled"))
     for steps in (8, 512, 513, 1100):
         _assert_same_path(integrate(gen, 0.0, 1.0, steps), integrate_stepwise(gen, 0.0, 1.0, steps))
     _assert_same_path(integrate(gen, 0.2, 0.7, 600), integrate_stepwise(gen, 0.2, 0.7, 600))
@@ -509,6 +518,49 @@ def test_integrate_reports_the_first_bad_generator_value(nan_after, skew_after, 
     for run in (integrate, integrate_stepwise):
         with pytest.raises(IntegrationError, match=message):
             run(gen, 0.0, 1.0, 1100)
+
+
+@pytest.mark.parametrize("bad, message", [("skew", None), ("inf", "generator returned non-finite")])
+def test_integrate_block_check_falls_back_to_the_per_matrix_test(bad, message):
+    # Entries about 1e4: a skew of 1e-6 fails the whole-block test
+    # max |S - S^T| <= 1e-9 but passes the per-matrix test relative to the
+    # scale.  The short window keeps the skewed flow's symplectic residual
+    # below the node tolerance.
+    gen = constant_planar(1e4)
+    base = gen._evaluator
+
+    def evaluator(t):
+        s = np.array(base(t))
+        if bad == "skew":
+            s[..., 0, 1] += 1e-6
+        else:
+            s[..., 1, 1] = np.where(t > 0.3e-4, np.inf, s[..., 1, 1])
+        return s
+
+    gen._evaluator = evaluator
+    if message is None:
+        _assert_same_path(integrate(gen, 0.0, 1e-4, 1100), integrate_stepwise(gen, 0.0, 1e-4, 1100))
+        return
+    for run in (integrate, integrate_stepwise):
+        with pytest.raises(IntegrationError, match=message):
+            run(gen, 0.0, 1e-4, 1100)
+
+
+@pytest.mark.parametrize("kind, exponentials", [("constant", 4), ("fourier", 2048)])
+def test_integrate_exponentiates_once_per_block_when_time_independent(kind, exponentials, rng,
+                                                                      monkeypatch):
+    gen = constant_planar(3.0) if kind == "constant" else random_negdef_fourier(2, rng)
+    counted = []
+
+    def counting_expm(a):
+        counted.append(np.asarray(a).reshape(-1, 2, 2).shape[0])
+        return symplectic_expm(a)
+
+    monkeypatch.setattr("hoferlab.flows.symplectic_expm", counting_expm)
+    path = integrate(gen, 0.0, 1.0, 2048)
+    assert sum(counted) == exponentials
+    monkeypatch.undo()
+    _assert_same_path(path, integrate_stepwise(gen, 0.0, 1.0, 2048))
 
 
 def test_numpy_trig_and_log2_match_math_module():
@@ -584,6 +636,15 @@ def test_evaluate_outside_domain():
     path = integrate(constant_planar(3.0), 0.0, 0.5, 64)
     with pytest.raises(ValueError):
         evaluate(path, 0.75)
+
+
+def test_nan_time_is_outside_every_domain():
+    gen = constant_planar(3.0)
+    path = integrate(gen, 0.0, 1.0, 64)
+    for call in (lambda: gen(math.nan), lambda: gen(np.array([0.5, math.nan])),
+                 lambda: evaluate(path, math.nan), lambda: restrict(path, math.nan, 0.5)):
+        with pytest.raises(ValueError, match="outside|invalid"):
+            call()
 
 
 # -- restrict ----------------------------------------------------------------
