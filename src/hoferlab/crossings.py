@@ -9,7 +9,9 @@ index", 1994).  Both algorithms read W.
 
 * The index is a spectral flow: `rs_index` lifts the eigenangle sum, the
   graph phase, across the window (`flows.phase_window`) and takes
-  eigenangles at the two ends only; it locates no crossing.
+  eigenangles at the two ends only; it locates no crossing.  Both
+  algorithms read the phase at a time from the lifted sample at or before
+  it (`_lifted`), so one lift can serve a scan and several indices.
 * The scan certifies spans of node intervals crossing-free, coarse to
   fine, from bounds on sigma_min(Psi_i - I) at their ends and a bound on
   how fast `evaluate` moves (`_certified`, `_open_intervals`).
@@ -158,6 +160,25 @@ def _spectra(psis: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarr
             "eigvals and det of the graph unitary disagree: ill-conditioned eigenvalues"
         )
     return theta, whole.astype(int)
+
+
+def _lifted(path: SymplecticPath, window, times: np.ndarray):
+    """Psi and its lifted graph phase at ``times`` inside ``window``, a
+    `flows.phase_window`.  Each phase is one principal step from the lifted
+    sample at or before its time: coarse sample k // stride for a time in
+    sample interval k or, in a step the lift cut, the last sub-step at or
+    before the time.  Psi is read from the window ends and the nodes, and
+    evaluated at other times."""
+    ts, base, stride, ends, lift, subs = window
+    k = np.searchsorted(ts, times, "right") - 1
+    ref, psis = lift[k // stride], []
+    for r, (i, t) in enumerate(zip(k.tolist(), times.tolist())):
+        psis.append(ends[0] if t == ts[0] else ends[1] if t == ts[-1]
+                    else path.matrices[base + i] if t == ts[i] else evaluate(path, t))
+        if i in subs and (j := int(np.searchsorted(subs[i][0], t, "right"))):
+            ref[r] = subs[i][2][j - 1]
+    psis = np.stack(psis)
+    return psis, ref + _principal(graph_phase(psis) - ref)
 
 
 def _counts(theta: np.ndarray, whole: np.ndarray, psis: np.ndarray):
@@ -362,8 +383,9 @@ def _halves(crossings: list[Crossing], a: float, b: float) -> int:
                for c in crossings)
 
 
-def _scan_closed(path: SymplecticPath, a: float, b: float) -> list[Crossing]:
-    """All crossings with tau in [a, b] (up to endpoint tolerance), sorted.
+def _scan_closed(path: SymplecticPath, a: float, b: float, window=None) -> list[Crossing]:
+    """All crossings with tau in [a, b] (up to endpoint tolerance), sorted,
+    lifted on ``window``, a `flows.phase_window` over [a, b] (None: built here).
 
     A window end where Psi has a kernel by `_crossing_at`'s rule is a
     crossing at the end itself, so the list starts with the identity when a
@@ -378,19 +400,19 @@ def _scan_closed(path: SymplecticPath, a: float, b: float) -> list[Crossing]:
     grid step raise.
     """
     h = path.grid_spacing
-    ts, base, stride, ends, lift, subs = phase_window(path, a, b)
+    window = phase_window(path, a, b) if window is None else window
+    ts, base, stride, _ends, _lift, subs = window
     last = len(ts) - 1
-    count, kernel, end_marks, end_sigma = _counts(*_spectra(ends, lift[[0, -1]]), ends)
+    ends, end_phases = _lifted(path, window, ts[[0, last]])
+    count, kernel, end_marks, end_sigma = _counts(*_spectra(ends, end_phases), ends)
     bound = interpolant_bound(path)
     open_, sigma, norms = _open_intervals(path, ts, base, stride, end_sigma, bound)
 
-    # Both ends of each open interval and the window ends, lifted from coarse samples.
+    # Both ends of each open interval and the window ends.
     picks = np.flatnonzero(np.bincount(np.concatenate((open_, open_ + 1, [0, last])),
                                        minlength=last + 1))
-    psis = np.stack([ends[0] if k == 0 else ends[1] if k == last else path.matrices[base + k]
-                     for k in picks])
-    coarse = lift[picks // stride]
-    theta, whole = _spectra(psis, coarse + _principal(graph_phase(psis) - coarse))
+    psis, phases = _lifted(path, window, ts[picks])
+    theta, whole = _spectra(psis, phases)
     marks = np.zeros(theta.shape, dtype=bool)
     marks[[0, -1]] = end_marks
     row = {k: r for r, k in enumerate(picks.tolist())}
@@ -469,11 +491,20 @@ def rs_index(path: SymplecticPath, interval: tuple[float, float] | None = None,
     a, b = interval if interval is not None else (path.t_start, path.t_end)
     if not (path.t_start - _DOMAIN_SLACK <= a < b <= path.t_end + _DOMAIN_SLACK):
         raise ValueError(f"interval ({a}, {b}) outside path domain")
+    return _index(path, None, (a, b), policy)
+
+
+def _index(path: SymplecticPath, window, interval: tuple[float, float],
+           policy: str) -> IndexValue:
+    """`rs_index` over a checked interval, read off ``window``, a
+    `flows.phase_window` that holds it (None: one over the interval itself)."""
+    a, b = interval
     lo, hi = max(a, path.t_start), min(b, path.t_end)
     if policy == OPEN_OPEN and abs(a - path.t_start) <= ENDPOINT_TOL:
         lo = min(float(path.times[1]), hi)
-    _ts, _base, _stride, ends, lift, _subs = phase_window(path, lo, hi)
-    count, kernel, _marks, _sigma = _counts(*_spectra(ends, lift[[0, -1]]), ends)
+    window = phase_window(path, lo, hi) if window is None else window
+    ends, phases = _lifted(path, window, np.array([lo, hi]))
+    count, kernel, _marks, _sigma = _counts(*_spectra(ends, phases), ends)
     if policy == OPEN_OPEN and kernel.any():
         where = hi if kernel[1] else lo
         raise EndpointCrossingError(
@@ -481,4 +512,3 @@ def rs_index(path: SymplecticPath, interval: tuple[float, float] | None = None,
         )
     return IndexValue(half_units=int(count[0] - count[1]), interval=(float(a), float(b)),
                       policy=policy)
-

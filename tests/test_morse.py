@@ -153,12 +153,20 @@ def test_theorem_epsilon_override_and_robustness():
         values.append((report.verdict, report.theorem_rhs))
     assert len(set(values)) == 1
     assert values[0] == (True, 2)
+    # Fast rotations on coarse grids: the lift cuts every step, and eps
+    # falls inside a cut step, where its phase is one principal step from
+    # the sub-step at or before it.
+    for lam, steps in ((40.0, 16), (25.0, 8)):
+        for frac in (0.3, 0.9):
+            report = verify_theorem(sphere_height_scenario(lam), steps,
+                                    epsilon=frac * TWO_PI / lam)
+            assert report.verdict and report.cz_at_epsilon.half_units == -2, (lam, frac)
 
 
 def test_theorem_computes_each_stage_once(monkeypatch):
-    # One validation, one nondegeneracy check per side, two scans ([0, 1]
-    # on each side), and two index windows, [0, eps] and (eps, 1]: CZ(1)
-    # is their sum.
+    # One validation, one nondegeneracy check per side, one scan of [0, 1]
+    # on each side, and one graph-phase lift per path: CZ(eps) and the
+    # index on (eps, 1] are read off the maximizer's lift.
     import hoferlab.crossings
     import hoferlab.models
     import hoferlab.morse
@@ -177,13 +185,15 @@ def test_theorem_computes_each_stage_once(monkeypatch):
     for module, name in ((hoferlab.models, "validate_ustilovsky"),
                          (hoferlab.morse, "check_nondegenerate"),
                          (hoferlab.crossings, "_scan_closed"),
-                         (hoferlab.morse, "rs_index")):
+                         (hoferlab.morse, "_scan_closed"),
+                         (hoferlab.crossings, "phase_window"),
+                         (hoferlab.morse, "phase_window")):
         monkeypatch.setattr(module, name, counted(module, name))
     verify_theorem(sphere_height_scenario(13.0), steps=512)
     assert calls.count("validate_ustilovsky") == 1
     assert calls.count("check_nondegenerate") == 2
     assert calls.count("_scan_closed") == 2
-    assert calls.count("rs_index") == 2
+    assert calls.count("phase_window") == 2
 
 
 def test_theorem_rejects_inadmissible_epsilon():
