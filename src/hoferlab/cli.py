@@ -206,10 +206,11 @@ _SWEEP_COLUMNS = [
 def _sweep_values(args) -> list[float]:
     if args.count < 2:
         raise _ParseFailure("sweep count must be at least 2")
-    values = np.linspace(args.minimum, args.maximum, args.count)
+    values = np.linspace(args.minimum, args.maximum, args.count).tolist()
     if args.parameter == "steps":
-        return sorted({_checked_steps(round(v), "sweep steps") for v in values})
-    return [float(v) for v in values]
+        return sorted({_checked_steps(_number(v, "sweep steps", round), "sweep steps")
+                       for v in values})
+    return values
 
 
 def _sweep_row(doc: dict, parameter: str, value, steps_override) -> dict:
@@ -238,21 +239,12 @@ def _sweep_row(doc: dict, parameter: str, value, steps_override) -> dict:
     except ScenarioValidationError:
         row["status"] = "invalid"
         return row
-    lengths = hofer_lengths(scenario)
-    row.update({
-        "status": "pass" if report.verdict else "fail",
-        "morse_index_plus": report.morse_index_plus,
-        "morse_index_minus": report.morse_index_minus,
-        "morse_index_total": report.morse_index_total,
-        "cz_at_epsilon": report.cz_at_epsilon.value,
-        "cz_at_1": report.cz_at_1.value,
-        "cz_interval": report.cz_interval.value,
-        "theorem_lhs": report.theorem_lhs,
-        "theorem_rhs": report.theorem_rhs,
-        "L": lengths["L"],
-        "L_plus": lengths["L_plus"],
-        "L_minus": lengths["L_minus"],
-    })
+    # Report columns by name; an index column reads its value, and a finished
+    # run's status is its verdict.
+    fields = {**report.to_dict(), **hofer_lengths(scenario)}
+    row["status"] = fields["verdict"]
+    row.update({c: v["value"] if isinstance(v, dict) else v
+                for c, v in fields.items() if c in row})
     return row
 
 
@@ -263,8 +255,7 @@ def _cmd_sweep(args) -> int:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=_SWEEP_COLUMNS, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     _emit(buf.getvalue(), args.output)
     return EXIT_OK
 

@@ -62,11 +62,10 @@ def admissible_epsilon(generator: HessianPath, steps: int = DEFAULT_STEPS) -> fl
     return _epsilon(find_crossings(path, (path.t_start, path.t_end)))
 
 
-def _morse_count(crossings: list[Crossing], t_end: float) -> int:
-    """Multiplicity sum of the crossings in (0, 1) of a nondegenerate path."""
+def _morse_count(crossings: list[Crossing]) -> int:
+    """Multiplicity sum of the crossings in (0, 1) of a path that
+    `check_nondegenerate` has passed, so none of them lies at t = 1."""
     for c in crossings:
-        if abs(c.time - t_end) <= 1e-6:
-            raise DegenerateEndpointError("degenerate at t=1: crossing at the endpoint")
         if not c.regular:
             raise IrregularCrossingError(
                 f"extremizer not Morse at time t={c.time:.6f}: singular crossing form"
@@ -79,12 +78,36 @@ def morse_index(generator: HessianPath, steps: int = DEFAULT_STEPS) -> int:
     path = integrate(generator, 0.0, 1.0, steps)
     if not check_nondegenerate(path):
         raise DegenerateEndpointError("degenerate at t=1: not a nondegenerate geodesic scenario")
-    return _morse_count(find_crossings(path, (path.t_start, path.t_end)), path.t_end)
+    return _morse_count(find_crossings(path, (path.t_start, path.t_end)))
+
+
+# The report's keys in emission order; `to_dict` and the sweep CSV read this
+# list, and the golden reports pin the order.
+_REPORT_KEYS = (
+    "scenario_name", "dim", "epsilon", "crossings_max", "crossings_min",
+    "morse_index_plus", "morse_index_minus", "morse_index_total",
+    "cz_at_epsilon", "cz_at_1", "cz_interval",
+    "theorem_lhs", "theorem_rhs", "verdict", "residuals",
+)
+
+
+def _json_value(value):
+    """One JSON conversion per report value kind."""
+    if isinstance(value, IndexValue):
+        return {"half_units": value.half_units, "value": value.value,
+                "interval": list(value.interval), "policy": value.policy}
+    if isinstance(value, list):
+        return [{"time": c.time, "multiplicity": c.multiplicity,
+                 "signature": list(c.signature), "regular": c.regular} for c in value]
+    if isinstance(value, bool):
+        return "pass" if value else "fail"
+    return dict(value) if isinstance(value, dict) else value
 
 
 @dataclass
 class IndexReport:
-    """Everything `verify_theorem` computes, plus diagnostics."""
+    """What `verify_theorem` computes; the total, both sides of the identity,
+    CZ(1) and the verdict are derived from it."""
 
     scenario_name: str
     dim: int
@@ -93,49 +116,35 @@ class IndexReport:
     crossings_min: list[Crossing]
     morse_index_plus: int
     morse_index_minus: int
-    morse_index_total: int
     cz_at_epsilon: IndexValue
-    cz_at_1: IndexValue
     cz_interval: IndexValue
-    theorem_lhs: int
-    theorem_rhs: int
-    verdict: bool
     residuals: dict
 
+    @property
+    def morse_index_total(self) -> int:
+        return self.morse_index_plus + self.morse_index_minus
+
+    @property
+    def theorem_lhs(self) -> int:
+        return self.morse_index_plus
+
+    @property
+    def theorem_rhs(self) -> int:
+        # The (eps, 1] window's ends are kernel-free, so its half-units are even.
+        return abs(self.cz_interval.half_units) // 2
+
+    @property
+    def cz_at_1(self) -> IndexValue:
+        # Spectral-flow windows add up: CZ(1) is CZ(eps) plus the index on (eps, 1].
+        return IndexValue(self.cz_at_epsilon.half_units + self.cz_interval.half_units,
+                          (0.0, 1.0), RS_HALVES)
+
+    @property
+    def verdict(self) -> bool:
+        return self.theorem_lhs == self.theorem_rhs
+
     def to_dict(self) -> dict:
-        def index_value(v: IndexValue) -> dict:
-            return {
-                "half_units": v.half_units,
-                "value": v.value,
-                "interval": [v.interval[0], v.interval[1]],
-                "policy": v.policy,
-            }
-
-        def crossing(c: Crossing) -> dict:
-            return {
-                "time": c.time,
-                "multiplicity": c.multiplicity,
-                "signature": [c.signature[0], c.signature[1]],
-                "regular": c.regular,
-            }
-
-        return {
-            "scenario_name": self.scenario_name,
-            "dim": self.dim,
-            "epsilon": self.epsilon,
-            "crossings_max": [crossing(c) for c in self.crossings_max],
-            "crossings_min": [crossing(c) for c in self.crossings_min],
-            "morse_index_plus": self.morse_index_plus,
-            "morse_index_minus": self.morse_index_minus,
-            "morse_index_total": self.morse_index_total,
-            "cz_at_epsilon": index_value(self.cz_at_epsilon),
-            "cz_at_1": index_value(self.cz_at_1),
-            "cz_interval": index_value(self.cz_interval),
-            "theorem_lhs": self.theorem_lhs,
-            "theorem_rhs": self.theorem_rhs,
-            "verdict": "pass" if self.verdict else "fail",
-            "residuals": dict(self.residuals),
-        }
+        return {key: _json_value(getattr(self, key)) for key in _REPORT_KEYS}
 
 
 def verify_theorem(scenario, steps: int | None = None, epsilon: float | None = None) -> IndexReport:
@@ -169,9 +178,9 @@ def verify_theorem(scenario, steps: int | None = None, epsilon: float | None = N
     # crossing.  Each path is lifted once, on [0, 1].
     window = phase_window(path_max, 0.0, 1.0)
     crossings_max = [c for c in _scan_closed(path_max, 0.0, 1.0, window) if c.time > ENDPOINT_TOL]
-    morse_plus = _morse_count(crossings_max, path_max.t_end)
+    morse_plus = _morse_count(crossings_max)
     crossings_min = find_crossings(path_min, (0.0, 1.0))
-    morse_minus = _morse_count(crossings_min, path_min.t_end)
+    morse_minus = _morse_count(crossings_min)
 
     if epsilon is None:
         eps = _epsilon(crossings_max)
@@ -182,13 +191,6 @@ def verify_theorem(scenario, steps: int | None = None, epsilon: float | None = N
         if crossings_max and eps >= crossings_max[0].time - 1e-9:
             raise ValueError(f"epsilon {eps} is not admissible: first crossing at "
                              f"t={crossings_max[0].time:.6f}")
-
-    # Spectral-flow windows add up, so CZ(1) is CZ(eps) plus the index on
-    # (eps, 1]; that window's ends are kernel-free, so its half-units are even.
-    cz_eps = _index(path_max, window, (0.0, eps), RS_HALVES)
-    cz_interval = _index(path_max, window, (eps, 1.0), OPEN_OPEN)
-    cz_one = IndexValue(cz_eps.half_units + cz_interval.half_units, (0.0, 1.0), RS_HALVES)
-    rhs = abs(cz_interval.half_units) // 2
 
     residuals = {
         "symplectic_residual_max_path": path_max.max_symplectic_residual,
@@ -210,12 +212,7 @@ def verify_theorem(scenario, steps: int | None = None, epsilon: float | None = N
         crossings_min=crossings_min,
         morse_index_plus=morse_plus,
         morse_index_minus=morse_minus,
-        morse_index_total=morse_plus + morse_minus,
-        cz_at_epsilon=cz_eps,
-        cz_at_1=cz_one,
-        cz_interval=cz_interval,
-        theorem_lhs=morse_plus,
-        theorem_rhs=rhs,
-        verdict=morse_plus == rhs,
+        cz_at_epsilon=_index(path_max, window, (0.0, eps), RS_HALVES),
+        cz_interval=_index(path_max, window, (eps, 1.0), OPEN_OPEN),
         residuals=residuals,
     )

@@ -339,6 +339,14 @@ def test_sweep_steps_below_minimum_is_usage_error(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bounds", [("nan", "64"), ("8", "inf")], ids=["nan", "inf"])
+def test_sweep_non_finite_steps_is_usage_error(tmp_path, capsys, bounds):
+    scn = write_scenario(tmp_path)
+    assert main(["sweep", str(scn), "--parameter", "steps",
+                 "--min", bounds[0], "--max", bounds[1], "--count", "3"]) == EXIT_PARSE
+    assert "parse error" in capsys.readouterr().err
+
+
 def test_sweep_count_one_rejected(tmp_path, capsys):
     scn = write_scenario(tmp_path)
     assert main(["sweep", str(scn), "--parameter", "lambda",

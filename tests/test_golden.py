@@ -1,11 +1,12 @@
 """Byte-for-byte `verify` reports for the shipped scenario files and for
-seeded library scenarios.
+seeded library scenarios, and byte-for-byte `sweep` tables.
 
-`python -m tests.test_golden` writes every golden report: the scenario ones
+`python -m tests.test_golden` writes every golden file: the scenario reports
 by `hoferlab verify scenarios/<name>.json -o` with the wall time replaced by
-null, the library ones (`library_*.report.json`) from `IndexReport.to_dict()`.
-Any change to a report's bytes, other than the wall time, has to be
-explained and the golden files regenerated.
+null, the library ones (`library_*.report.json`) from `IndexReport.to_dict()`,
+and the sweep tables (`<scenario>.<parameter>_sweep.csv`) by `hoferlab sweep
+... -o`.  Any change to a report's or a table's bytes, other than the wall
+time, has to be explained and the golden files regenerated.
 """
 
 from __future__ import annotations
@@ -69,6 +70,53 @@ def test_library_report_matches_golden(name, scenario, steps):
     assert _library_report(scenario, steps) == golden.read_text(encoding="utf-8")
 
 
+# Scenario files whose two sides differ: the rotation speed of each side's
+# linearized flow, and the closed-form (plus, minus).  A side turning at speed
+# w crosses the Maslov cycle at t = 2 pi k / w with multiplicity 2.  The
+# sphere profile f = 7z + z^2 has pole speeds 9 and 5; the quadratic file has
+# constant germs -9 I and +13 I.
+UNEQUAL_SIDES = {
+    "sphere_profile_unequal": ((9.0, 5.0), (2, 0)),
+    "quadratic_unequal": ((9.0, 13.0), (2, 4)),
+}
+
+
+@pytest.mark.parametrize("stem", sorted(UNEQUAL_SIDES))
+def test_unequal_sides_match_closed_form(stem, tmp_path):
+    speeds, indices = UNEQUAL_SIDES[stem]
+    out = tmp_path / "report.json"
+    assert main(["verify", str(ROOT / "scenarios" / f"{stem}.json"), "-o", str(out)]) == EXIT_OK
+    result = json.loads(out.read_text(encoding="utf-8"))["result"]
+    for side, speed in zip(("max", "min"), speeds):
+        expected = TWO_PI / speed * np.arange(1, int(speed // TWO_PI) + 1)
+        crossings = result[f"crossings_{side}"]
+        assert [c["multiplicity"] for c in crossings] == [2] * len(expected), side
+        assert np.allclose([c["time"] for c in crossings], expected, atol=1e-8), side
+    assert (result["morse_index_plus"], result["morse_index_minus"]) == indices
+
+
+# name -> `hoferlab sweep` arguments; the golden is tests/golden/<name>.csv.
+SWEEPS = {
+    "sphere_height_7.lambda_sweep": ["sphere_height_7.json", "--parameter", "lambda", "--min", "0",
+                                     "--max", "12.566370614359172", "--count", "9",
+                                     "--steps", "512"],
+    "quadratic_ramp.steps_sweep": ["quadratic_ramp.json", "--parameter", "steps", "--min", "256",
+                                   "--max", "1024", "--count", "3"],
+}
+
+
+def _sweep(name: str, out: Path) -> int:
+    scenario, *options = SWEEPS[name]
+    return main(["sweep", str(ROOT / "scenarios" / scenario), *options, "-o", str(out)])
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_csv_matches_golden(name, tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert _sweep(name, out) == EXIT_OK
+    assert out.read_bytes() == (ROOT / "tests" / "golden" / f"{name}.csv").read_bytes()
+
+
 if __name__ == "__main__":
     for scenario in SCENARIOS:
         path = ROOT / "tests" / "golden" / f"{scenario.stem}.report.json"
@@ -78,3 +126,6 @@ if __name__ == "__main__":
     for name, scenario, steps in _library_scenarios():
         path = ROOT / "tests" / "golden" / f"library_{name}.report.json"
         path.write_text(_library_report(scenario, steps), encoding="utf-8")
+    for name in SWEEPS:
+        if _sweep(name, ROOT / "tests" / "golden" / f"{name}.csv") != EXIT_OK:
+            raise SystemExit(f"sweep {name} did not run")

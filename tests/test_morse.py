@@ -138,6 +138,21 @@ def test_theorem_degenerate_errors():
         verify_theorem(sphere_height_scenario(TWO_PI), steps=512)
 
 
+@pytest.mark.parametrize("gap", [5e-7, 2e-7])
+def test_crossing_next_to_t1_is_decided_by_sigma_alone(gap):
+    # A full turn at t = 1 - gap: sigma_min(Psi(1) - I) ~ 2 pi gap clears
+    # 1e-6 ||Psi(1)||, so the endpoint is nondegenerate and the crossing counts.
+    scenario = sphere_height_scenario(TWO_PI / (1.0 - gap))
+    for steps in (512, 2048):
+        report = verify_theorem(scenario, steps=steps)
+        assert report.verdict and report.theorem_lhs == report.theorem_rhs == 2
+        assert [c.time for c in report.crossings_max] == pytest.approx([1.0 - gap], abs=1e-9)
+    assert morse_index(scenario.S_max, steps=512) == 2
+    # Closer still, sigma_min falls below the threshold and the endpoint is degenerate.
+    with pytest.raises(DegenerateEndpointError, match="max side"):
+        verify_theorem(sphere_height_scenario(TWO_PI / (1.0 - 1.5e-7)), steps=512)
+
+
 def test_theorem_total_split():
     report = verify_theorem(sphere_height_scenario(7.0), steps=1024)
     assert report.morse_index_total == report.morse_index_plus + report.morse_index_minus
