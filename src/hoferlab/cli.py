@@ -206,6 +206,9 @@ _SWEEP_COLUMNS = [
 def _sweep_values(args) -> list[float]:
     if args.count < 2:
         raise _ParseFailure("sweep count must be at least 2")
+    for flag, bound in (("--min", args.minimum), ("--max", args.maximum)):
+        if not math.isfinite(bound):
+            raise _ParseFailure(f"sweep {flag} must be finite, got {bound}")
     values = np.linspace(args.minimum, args.maximum, args.count).tolist()
     if args.parameter == "steps":
         return sorted({_checked_steps(_number(v, "sweep steps", round), "sweep steps")

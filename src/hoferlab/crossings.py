@@ -491,24 +491,26 @@ def rs_index(path: SymplecticPath, interval: tuple[float, float] | None = None,
     a, b = interval if interval is not None else (path.t_start, path.t_end)
     if not (path.t_start - _DOMAIN_SLACK <= a < b <= path.t_end + _DOMAIN_SLACK):
         raise ValueError(f"interval ({a}, {b}) outside path domain")
-    return _index(path, None, (a, b), policy)
+    return _index(path, None, [a, b], [policy])[0]
 
 
-def _index(path: SymplecticPath, window, interval: tuple[float, float],
-           policy: str) -> IndexValue:
-    """`rs_index` over a checked interval, read off ``window``, a
-    `flows.phase_window` that holds it (None: one over the interval itself)."""
-    a, b = interval
-    lo, hi = max(a, path.t_start), min(b, path.t_end)
-    if policy == OPEN_OPEN and abs(a - path.t_start) <= ENDPOINT_TOL:
-        lo = min(float(path.times[1]), hi)
-    window = phase_window(path, lo, hi) if window is None else window
-    ends, phases = _lifted(path, window, np.array([lo, hi]))
-    count, kernel, _marks, _sigma = _counts(*_spectra(ends, phases), ends)
-    if policy == OPEN_OPEN and kernel.any():
-        where = hi if kernel[1] else lo
-        raise EndpointCrossingError(
-            f"crossing at interval endpoint (t={where:.6f}) under open_open policy"
-        )
-    return IndexValue(half_units=int(count[0] - count[1]), interval=(float(a), float(b)),
-                      policy=policy)
+def _index(path: SymplecticPath, window, cuts, policies) -> list[IndexValue]:
+    """`rs_index` over each checked window (cuts[i], cuts[i + 1]) with
+    policies[i], read off one lift of Psi at the cuts on ``window``, a
+    `flows.phase_window` that holds them (None: one from the first cut to
+    the last)."""
+    times = np.clip(cuts, path.t_start, path.t_end)
+    if policies[0] == OPEN_OPEN and abs(cuts[0] - path.t_start) <= ENDPOINT_TOL:
+        times[0] = min(float(path.times[1]), times[1])
+    window = phase_window(path, times[0], times[-1]) if window is None else window
+    psis, phases = _lifted(path, window, times)
+    count, kernel, _marks, _sigma = _counts(*_spectra(psis, phases), psis)
+    for i, policy in enumerate(policies):
+        if policy == OPEN_OPEN and kernel[i:i + 2].any():
+            raise EndpointCrossingError(
+                f"crossing at interval endpoint (t={times[i + bool(kernel[i + 1])]:.6f}) "
+                f"under open_open policy"
+            )
+    return [IndexValue(half_units=int(count[i] - count[i + 1]),
+                       interval=(float(cuts[i]), float(cuts[i + 1])), policy=policy)
+            for i, policy in enumerate(policies)]

@@ -652,11 +652,15 @@ def integrate(generator: HessianPath, t_start: float = 0.0, t_end: float = 1.0,
     a Gauss-averaged Hamiltonian matrix built from J S, plus the leading
     commutator correction.  Node count is steps + 1.  Generator values,
     checks and exponentials are batched per `_BLOCK_STEPS` steps; only the
-    running product loops, and Psi equals a step-by-step loop bit for bit.
+    running product loops, and Psi equals a step-by-step loop bit for bit
+    for a time-dependent generator.
     A generator with ``slope_bound == 0.0`` has one value S at every t, so
-    every step has the same exponent: each block still evaluates and checks
-    S at all its quadrature points, but takes one exponential, from its
-    first step, for all its steps.
+    every step has the same exponent and node k is E^k: each block still
+    evaluates and checks S at all its quadrature points, but the path takes
+    one exponential E, from its first step, and fills the nodes by doubling
+    (E^(n + j) = E^n E^j for j <= n, about log2(steps) batched products).
+    These nodes differ from the step-by-step loop's in the last bits, by at
+    most 1e-12 relative to the largest entry.
 
     Parameters
     ----------
@@ -682,12 +686,19 @@ def integrate(generator: HessianPath, t_start: float = 0.0, t_end: float = 1.0,
     # Overflow shows up as non-finite nodes and is rejected at construction.
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, steps, _BLOCK_STEPS):
-            starts = times[lo:min(lo + _BLOCK_STEPS, steps)]
-            exps = symplectic_expm(_magnus_exponent(generator, J, starts, h, frozen))
-            exps = np.broadcast_to(exps, (len(starts), d, d))  # one per step
-            # np.dot: the product of np.matmul without its ufunc dispatch.
-            for e, a, b in zip(exps, mats[lo:], mats[lo + 1:]):
-                np.dot(e, a, out=b)
+            w = _magnus_exponent(generator, J, times[:-1][lo:lo + _BLOCK_STEPS], h, frozen)
+            if not frozen:
+                w = symplectic_expm(w)  # drops the exponents before the product
+                # np.dot: the product of np.matmul without its ufunc dispatch.
+                for e, a, b in zip(w, mats[lo:], mats[lo + 1:]):
+                    np.dot(e, a, out=b)
+            elif lo == 0:
+                mats[1] = symplectic_expm(w)[0]
+        # Node k of a frozen generator is E^k: E^(n + j) = E^n E^j for j <= n.
+        n = 1
+        while frozen and n < steps:
+            np.matmul(mats[n], mats[1:min(n, steps - n) + 1], out=mats[n + 1:2 * n + 1])
+            n *= 2
     return SymplecticPath(dim=d, t_start=t_start, t_end=t_end, times=times,
                           matrices=mats, generator=generator)
 

@@ -192,6 +192,9 @@ def verify_theorem(scenario, steps: int | None = None, epsilon: float | None = N
             raise ValueError(f"epsilon {eps} is not admissible: first crossing at "
                              f"t={crossings_max[0].time:.6f}")
 
+    # One lift of Psi at 0, eps and 1 serves both windows.
+    cz_eps, cz_int = _index(path_max, window, [0.0, eps, 1.0], [RS_HALVES, OPEN_OPEN])
+
     residuals = {
         "symplectic_residual_max_path": path_max.max_symplectic_residual,
         "symplectic_residual_min_path": path_min.max_symplectic_residual,
@@ -212,7 +215,7 @@ def verify_theorem(scenario, steps: int | None = None, epsilon: float | None = N
         crossings_min=crossings_min,
         morse_index_plus=morse_plus,
         morse_index_minus=morse_minus,
-        cz_at_epsilon=_index(path_max, window, (0.0, eps), RS_HALVES),
-        cz_interval=_index(path_max, window, (eps, 1.0), OPEN_OPEN),
+        cz_at_epsilon=cz_eps,
+        cz_interval=cz_int,
         residuals=residuals,
     )

@@ -7,9 +7,10 @@ than the package's spectral flow: from the crossing forms of the scan, from
 the inertia of the Cayley transform (on windows clear of eigenvalue -1),
 and (in dimension 2) from the winding of the eigenvalue angle.
 `integrate_stepwise` is the per-step loop that the blocked `integrate` must
-reproduce bit for bit, `frame_phase` the graph phase from the 2n x 2n
-frame determinant, in exact arithmetic, and `concatenation_check` compares
-three separately lifted `rs_index` windows.
+reproduce (bit for bit for a time-dependent generator), `constant_flow` the
+closed form exp(t J S) of a constant one, `frame_phase` the graph phase
+from the 2n x 2n frame determinant, in exact arithmetic, and
+`concatenation_check` compares three separately lifted `rs_index` windows.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, expm
 from scipy.optimize import brentq, minimize_scalar
 
 from hoferlab import (
@@ -54,6 +55,13 @@ def planar_flow(speed: float, t: float) -> np.ndarray:
 def block_flow(speeds, t: float) -> np.ndarray:
     """Closed form for S = blockdiag(-s_i * I_2): block of planar rotations."""
     return block_diag(*[planar_flow(s, t) for s in speeds])
+
+
+def constant_flow(s: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Closed form exp(t J S) of a constant generator S at each of ``times``,
+    from scipy's `expm`, independent of the package's Pade map."""
+    js = standard_structure(len(s) // 2).J @ s
+    return np.stack([expm(t * js) for t in times])
 
 
 def crossing_times(speed: float, t_max: float = 1.0):
@@ -163,7 +171,8 @@ def integrate_stepwise(generator: HessianPath, t_start: float = 0.0, t_end: floa
                        steps: int = 2048) -> SymplecticPath:
     """Reference for `integrate`: the same fourth-order Magnus scheme, one
     step per loop iteration with one generator call (both Gauss nodes) and
-    one exponential.  `integrate` must equal it bit for bit."""
+    one exponential.  `integrate` must equal it bit for bit, except for a
+    generator with ``slope_bound == 0.0``, whose nodes it fills by doubling."""
     if not (0.0 <= t_start < t_end <= 1.0):
         raise ValueError(f"need 0 <= t_start < t_end <= 1, got [{t_start}, {t_end}]")
     steps = int(steps)

@@ -347,6 +347,16 @@ def test_sweep_non_finite_steps_is_usage_error(tmp_path, capsys, bounds):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bounds, flag", [(("1", "inf"), "--max"), (("-inf", "2"), "--min"),
+                                          (("nan", "2"), "--min")], ids=["inf", "-inf", "nan"])
+def test_sweep_non_finite_lambda_bound_is_usage_error(tmp_path, capsys, bounds, flag):
+    # Checked before the range is spread: a lambda row would run on nan.
+    scn = write_scenario(tmp_path)
+    assert main(["sweep", str(scn), "--parameter", "lambda", f"--min={bounds[0]}",
+                 f"--max={bounds[1]}", "--count", "3"]) == EXIT_PARSE
+    assert f"sweep {flag} must be finite" in capsys.readouterr().err
+
+
 def test_sweep_count_one_rejected(tmp_path, capsys):
     scn = write_scenario(tmp_path)
     assert main(["sweep", str(scn), "--parameter", "lambda",

@@ -561,7 +561,7 @@ def test_rs_index_on_fast_rotation_and_coarse_grid():
         expected = -4 * int(((taus > a) & (taus <= b)).sum())
         for policy in ("open_open", "rs_halves"):
             assert rs_index(path, (a, b), policy).half_units == expected, (a, b, policy)
-            assert (crossings_module._index(path, whole, (a, b), policy).half_units
+            assert (crossings_module._index(path, whole, [a, b], [policy])[0].half_units
                     == expected), (a, b, policy)
 
 

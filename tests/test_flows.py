@@ -39,6 +39,7 @@ from tests.oracles import (
     aliased_fourier,
     aliased_spline,
     block_flow,
+    constant_flow,
     constant_planar,
     frame_phase,
     integrate_stepwise,
@@ -465,8 +466,15 @@ def _generator(kind: str, dim: int, rng) -> HessianPath:
     return fourier
 
 
-def _assert_same_path(path, ref):
+def _assert_matches_loop(path, ref):
+    """`path` against `integrate_stepwise`: bit for bit for a time-dependent
+    generator; a time-independent one (zero slope bound) fills its nodes by
+    doubling, within 1e-12 of the loop relative to each node's largest entry."""
     assert np.array_equal(path.times, ref.times)
+    if path.generator.slope_bound == 0.0:
+        err = np.abs(path.matrices - ref.matrices).max(axis=(1, 2))
+        assert (err <= 1e-12 * np.abs(ref.matrices).max(axis=(1, 2))).all()
+        return
     assert np.array_equal(path.matrices, ref.matrices)
     nodes = np.arange(len(ref.times))
     assert np.array_equal(path.sigma_min_nodes(nodes), ref.sigma_min_nodes(nodes))
@@ -478,11 +486,12 @@ def _assert_same_path(path, ref):
 def test_integrate_matches_stepwise_loop(kind, dim, rng):
     # Step counts below, at and above one block of 512 steps.
     gen = _generator(kind, dim, rng)
-    # A zero slope bound makes `integrate` share one exponential per block.
+    # A zero slope bound makes `integrate` share one exponential per path.
     assert (gen.slope_bound > 0.0) == (kind in ("fourier", "sampled"))
     for steps in (8, 512, 513, 1100):
-        _assert_same_path(integrate(gen, 0.0, 1.0, steps), integrate_stepwise(gen, 0.0, 1.0, steps))
-    _assert_same_path(integrate(gen, 0.2, 0.7, 600), integrate_stepwise(gen, 0.2, 0.7, 600))
+        _assert_matches_loop(integrate(gen, 0.0, 1.0, steps),
+                             integrate_stepwise(gen, 0.0, 1.0, steps))
+    _assert_matches_loop(integrate(gen, 0.2, 0.7, 600), integrate_stepwise(gen, 0.2, 0.7, 600))
 
 
 def test_integrate_matches_stepwise_loop_across_scaling_exponents():
@@ -495,7 +504,7 @@ def test_integrate_matches_stepwise_loop_across_scaling_exponents():
     exps = _magnus_exponent(gen, standard_structure(1).J, starts, h)
     squarings = np.ceil(np.log2(np.maximum(np.abs(exps).sum(axis=-2).max(axis=-1), 1.0)))
     assert set(squarings) == {0.0, 1.0, 2.0, 3.0, 4.0}
-    _assert_same_path(integrate(gen, 0.0, 1.0, steps), integrate_stepwise(gen, 0.0, 1.0, steps))
+    _assert_matches_loop(integrate(gen, 0.0, 1.0, steps), integrate_stepwise(gen, 0.0, 1.0, steps))
 
 
 @pytest.mark.parametrize("nan_after, skew_after, message", [
@@ -539,16 +548,17 @@ def test_integrate_block_check_falls_back_to_the_per_matrix_test(bad, message):
 
     gen._evaluator = evaluator
     if message is None:
-        _assert_same_path(integrate(gen, 0.0, 1e-4, 1100), integrate_stepwise(gen, 0.0, 1e-4, 1100))
+        _assert_matches_loop(integrate(gen, 0.0, 1e-4, 1100),
+                             integrate_stepwise(gen, 0.0, 1e-4, 1100))
         return
     for run in (integrate, integrate_stepwise):
         with pytest.raises(IntegrationError, match=message):
             run(gen, 0.0, 1e-4, 1100)
 
 
-@pytest.mark.parametrize("kind, exponentials", [("constant", 4), ("fourier", 2048)])
-def test_integrate_exponentiates_once_per_block_when_time_independent(kind, exponentials, rng,
-                                                                      monkeypatch):
+@pytest.mark.parametrize("kind, exponentials", [("constant", 1), ("fourier", 2048)])
+def test_integrate_exponentiates_once_per_path_when_time_independent(kind, exponentials, rng,
+                                                                     monkeypatch):
     gen = constant_planar(3.0) if kind == "constant" else random_negdef_fourier(2, rng)
     counted = []
 
@@ -560,7 +570,21 @@ def test_integrate_exponentiates_once_per_block_when_time_independent(kind, expo
     path = integrate(gen, 0.0, 1.0, 2048)
     assert sum(counted) == exponentials
     monkeypatch.undo()
-    _assert_same_path(path, integrate_stepwise(gen, 0.0, 1.0, 2048))
+    _assert_matches_loop(path, integrate_stepwise(gen, 0.0, 1.0, 2048))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_integrate_time_independent_matches_closed_form(dim, rng):
+    # Doubled nodes E^k against exp(t J S) at 8192 steps, with ||S|| = 20 (a
+    # few turns).  Magnus is exact for a constant S and the Pade error is
+    # below 1e-20 per step, so only rounding remains: at most 4 steps eps
+    # relative to each node's largest entry (the loop's error is the same size).
+    s0 = random_negdef_fourier(dim, rng).stack[0]
+    s = 20.0 / np.linalg.norm(s0, 2) * s0
+    path = integrate(HessianPath.constant(s), 0.0, 1.0, 8192)
+    exact = constant_flow(s, path.times)
+    err = np.abs(path.matrices - exact).max(axis=(1, 2)) / np.abs(exact).max(axis=(1, 2))
+    assert err.max() <= 4 * 8192 * np.finfo(float).eps
 
 
 def test_numpy_trig_and_log2_match_math_module():

@@ -181,7 +181,8 @@ def test_theorem_epsilon_override_and_robustness():
 def test_theorem_computes_each_stage_once(monkeypatch):
     # One validation, one nondegeneracy check per side, one scan of [0, 1]
     # on each side, and one graph-phase lift per path: CZ(eps) and the
-    # index on (eps, 1] are read off the maximizer's lift.
+    # index on (eps, 1] are read off the maximizer's lift, which evaluates
+    # Psi(eps) once.
     import hoferlab.crossings
     import hoferlab.models
     import hoferlab.morse
@@ -192,7 +193,7 @@ def test_theorem_computes_each_stage_once(monkeypatch):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls.append(name)
+            calls.append((name, *args[1:2]) if name == "evaluate" else name)
             return original(*args, **kwargs)
 
         return wrapper
@@ -202,13 +203,15 @@ def test_theorem_computes_each_stage_once(monkeypatch):
                          (hoferlab.crossings, "_scan_closed"),
                          (hoferlab.morse, "_scan_closed"),
                          (hoferlab.crossings, "phase_window"),
-                         (hoferlab.morse, "phase_window")):
+                         (hoferlab.morse, "phase_window"),
+                         (hoferlab.crossings, "evaluate")):
         monkeypatch.setattr(module, name, counted(module, name))
-    verify_theorem(sphere_height_scenario(13.0), steps=512)
+    report = verify_theorem(sphere_height_scenario(13.0), steps=512)
     assert calls.count("validate_ustilovsky") == 1
     assert calls.count("check_nondegenerate") == 2
     assert calls.count("_scan_closed") == 2
     assert calls.count("phase_window") == 2
+    assert calls.count(("evaluate", report.epsilon)) == 1
 
 
 def test_theorem_rejects_inadmissible_epsilon():
