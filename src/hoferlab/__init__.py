@@ -37,7 +37,6 @@ from .flows import (
     direct_sum,
     evaluate,
     integrate,
-    restrict,
 )
 from .models import (
     NormalizationCertificate,
@@ -74,7 +73,7 @@ __all__ = [
     "symplectic_inverse", "symplectic_expm", "hamiltonian_vector_field_selftest",
     # flows
     "DEFAULT_STEPS", "NEGATIVE_DEFINITE", "POSITIVE_DEFINITE", "INDEFINITE",
-    "HessianPath", "SymplecticPath", "integrate", "evaluate", "restrict", "direct_sum",
+    "HessianPath", "SymplecticPath", "integrate", "evaluate", "direct_sum",
     # crossings
     "OPEN_OPEN", "RS_HALVES", "Crossing", "IndexValue", "find_crossings",
     "crossing_form", "rs_index",

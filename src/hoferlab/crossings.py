@@ -209,12 +209,15 @@ def _certified(s_lo, s_hi, width, norm, bound, floor, steps=1):
     at the first.  With (slope, growth, pade) from `flows.interpolant_bound`,
     sigma_min(exp(Omega) Psi_i - I) moves at most slope ||Psi_i|| per unit
     time (sigma_min is 1-Lipschitz in the matrix), and `evaluate` stays
-    within pade ||Psi_i|| of exp(Omega) Psi_i.  The next node, the step
-    exponential times Psi_i rounded once, is within jump ||Psi_i|| of
-    exp(Omega) Psi_i, jump = pade + `_ROUNDING` growth.  So every base node
-    has ||Psi_i|| <= N = norm (growth + jump)^(steps - 1) (`_span_norm`),
-    and sigma_min jumps by at most jump N at each of the steps - 1 inner
-    nodes.  Walking in from both ends, sigma_min(evaluate(t) - I) is at least
+    within pade ||Psi_i|| of exp(Omega) Psi_i.  `integrate` forms the nodes
+    from the step exponentials E_k by a chunked prefix product or, for a
+    constant generator, by doubling, so the next node is not E_i Psi_i
+    rounded once; it is within `_ROUNDING` ||Psi_i|| of E_i Psi_i (measured
+    below 2e-15 ||Psi_i||), so within jump ||Psi_i|| of exp(Omega) Psi_i,
+    jump = pade + `_ROUNDING` growth.  So every base node has ||Psi_i|| <=
+    N = norm (growth + jump)^(steps - 1) (`_span_norm`), and sigma_min jumps
+    by at most jump N at each of the steps - 1 inner nodes.  Walking in from
+    both ends, sigma_min(evaluate(t) - I) is at least
     (s_lo + s_hi - N (width slope + 4 pade + (steps - 1) jump)) / 2 over the
     span, while ||evaluate(t)|| <= (growth + pade) N.  The floor term is
     doubled so that it also covers the rounding of one step product.

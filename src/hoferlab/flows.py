@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CrossingResolutionError, IntegrationError
-from .symplectic import standard_structure, symplectic_expm, symplectic_inverse
+from .symplectic import standard_structure, symplectic_expm
 
 __all__ = [
     "NEGATIVE_DEFINITE",
@@ -29,7 +29,6 @@ __all__ = [
     "SymplecticPath",
     "integrate",
     "evaluate",
-    "restrict",
     "direct_sum",
     "graph_phase",
     "graph_angles",
@@ -59,6 +58,9 @@ _QUARTER_TURN = 0.5 * math.pi
 _PHASE_SUBSTEPS_MAX = 64
 # Steps per numpy call in `integrate`; larger blocks cost memory, not speed.
 _BLOCK_STEPS = 512
+# Steps per chunk of the running product: a block of B steps takes about
+# _CHUNK_STEPS + B / _CHUNK_STEPS numpy calls (`integrate`).
+_CHUNK_STEPS = 16
 # Times this far outside a path's or generator's domain still count as inside.
 _DOMAIN_SLACK = 1e-12
 
@@ -606,7 +608,7 @@ def interpolant_bound(path: SymplecticPath) -> tuple[float, float, float]:
     Taylor error terms), so ||F(Omega) - exp(Omega)|| <= pade =
     3e-5 w^7 e^w after squaring.  Past w = 1 the slope is infinite.
     """
-    h = float(np.diff(path.times).max())  # the longest step, for restricted paths too
+    h = float(np.diff(path.times).max())  # the longest step, for uneven grids too
     s, lip = path.generator.norm_bound, path.generator.slope_bound
     w = h * s + (math.sqrt(3.0) / 6.0) * h * h * s * s
     if not w <= 1.0:
@@ -651,16 +653,19 @@ def integrate(generator: HessianPath, t_start: float = 0.0, t_end: float = 1.0,
     Fourth-order Magnus stepping: each step multiplies by the exponential of
     a Gauss-averaged Hamiltonian matrix built from J S, plus the leading
     commutator correction.  Node count is steps + 1.  Generator values,
-    checks and exponentials are batched per `_BLOCK_STEPS` steps; only the
-    running product loops, and Psi equals a step-by-step loop bit for bit
-    for a time-dependent generator.
+    checks and exponentials are batched per `_BLOCK_STEPS` steps.  The
+    running product is a two-level prefix product per block (Blelloch,
+    "Prefix sums and their applications", 1990): the block's exponentials
+    are split into chunks of `_CHUNK_STEPS`, the products within every
+    chunk are formed together, the chunk starts follow one by one from the
+    block's first node, and one batched product fills the block's nodes.
     A generator with ``slope_bound == 0.0`` has one value S at every t, so
     every step has the same exponent and node k is E^k: each block still
     evaluates and checks S at all its quadrature points, but the path takes
     one exponential E, from its first step, and fills the nodes by doubling
     (E^(n + j) = E^n E^j for j <= n, about log2(steps) batched products).
-    These nodes differ from the step-by-step loop's in the last bits, by at
-    most 1e-12 relative to the largest entry.
+    Either way the nodes differ from a step-by-step loop's in the last bits,
+    by at most 1e-12 relative to each node's largest entry.
 
     Parameters
     ----------
@@ -689,9 +694,18 @@ def integrate(generator: HessianPath, t_start: float = 0.0, t_end: float = 1.0,
             w = _magnus_exponent(generator, J, times[:-1][lo:lo + _BLOCK_STEPS], h, frozen)
             if not frozen:
                 w = symplectic_expm(w)  # drops the exponents before the product
-                # np.dot: the product of np.matmul without its ufunc dispatch.
-                for e, a, b in zip(w, mats[lo:], mats[lo + 1:]):
-                    np.dot(e, a, out=b)
+                m, c = len(w), -(-len(w) // _CHUNK_STEPS)
+                if m % _CHUNK_STEPS:  # a short block: pad its last chunk with identities
+                    pad = np.broadcast_to(np.eye(d), (c * _CHUNK_STEPS - m, d, d))
+                    w = np.concatenate((w, pad))
+                loc = w.reshape(c, _CHUNK_STEPS, d, d)
+                for i in range(1, _CHUNK_STEPS):
+                    np.matmul(loc[:, i], loc[:, i - 1], out=loc[:, i])
+                starts = np.empty((c, d, d))
+                starts[0] = mats[lo]
+                for j in range(1, c):
+                    np.dot(loc[j - 1, -1], starts[j - 1], out=starts[j])
+                mats[lo + 1:lo + 1 + m] = np.matmul(loc, starts[:, None]).reshape(-1, d, d)[:m]
             elif lo == 0:
                 mats[1] = symplectic_expm(w)[0]
         # Node k of a frozen generator is E^k: E^(n + j) = E^n E^j for j <= n.
@@ -722,26 +736,3 @@ def evaluate(path: SymplecticPath, t: float) -> np.ndarray:
     J = standard_structure(path.dim // 2).J
     w = _magnus_exponent(path.generator, J, float(path.times[idx]), t - float(path.times[idx]))
     return symplectic_expm(w) @ path.matrices[idx]
-
-
-def restrict(path: SymplecticPath, a: float, b: float) -> SymplecticPath:
-    """Re-base the same flow on [a, b]: t -> Psi(t) Psi(a)^{-1}.
-
-    The result starts at the identity and is the linearized flow of the same
-    generator on the sub-interval (cocycle property).
-    """
-    if not (path.t_start - _DOMAIN_SLACK <= a < b <= path.t_end + _DOMAIN_SLACK):
-        raise ValueError(f"invalid restriction window [{a}, {b}]")
-    a = min(max(a, path.t_start), path.t_end)
-    b = min(max(b, path.t_start), path.t_end)
-    structure = standard_structure(path.dim // 2)
-    inv_a = symplectic_inverse(structure, evaluate(path, a))
-    inner = (path.times > a + 1e-14) & (path.times < b - 1e-14)
-    times = np.concatenate(([a], path.times[inner], [b]))
-    mats = np.empty((len(times), path.dim, path.dim))
-    mats[0] = np.eye(path.dim)
-    if inner.any():
-        mats[1:-1] = path.matrices[inner] @ inv_a
-    mats[-1] = evaluate(path, b) @ inv_a
-    return SymplecticPath(dim=path.dim, t_start=a, t_end=b, times=times,
-                          matrices=mats, generator=path.generator)

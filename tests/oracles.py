@@ -7,10 +7,11 @@ than the package's spectral flow: from the crossing forms of the scan, from
 the inertia of the Cayley transform (on windows clear of eigenvalue -1),
 and (in dimension 2) from the winding of the eigenvalue angle.
 `integrate_stepwise` is the per-step loop that the blocked `integrate` must
-reproduce (bit for bit for a time-dependent generator), `constant_flow` the
-closed form exp(t J S) of a constant one, `frame_phase` the graph phase
-from the 2n x 2n frame determinant, in exact arithmetic, and
-`concatenation_check` compares three separately lifted `rs_index` windows.
+reproduce (to 1e-12 relative per node), `restrict` re-bases a path on a
+sub-window, `constant_flow` is the closed form exp(t J S) of a constant
+generator, `frame_phase` the graph phase from the 2n x 2n frame
+determinant, in exact arithmetic, and `concatenation_check` compares three
+separately lifted `rs_index` windows.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from hoferlab import (
     rs_index,
 )
 from hoferlab.crossings import ENDPOINT_TOL, KERNEL_RATIO, _certified, _scan_closed, _sigma_min
-from hoferlab.flows import MIN_STEPS, _magnus_exponent
-from hoferlab.symplectic import standard_structure, symplectic_expm
+from hoferlab.flows import _DOMAIN_SLACK, MIN_STEPS, _magnus_exponent
+from hoferlab.symplectic import standard_structure, symplectic_expm, symplectic_inverse
 
 TWO_PI = 2.0 * math.pi
 
@@ -171,8 +172,10 @@ def integrate_stepwise(generator: HessianPath, t_start: float = 0.0, t_end: floa
                        steps: int = 2048) -> SymplecticPath:
     """Reference for `integrate`: the same fourth-order Magnus scheme, one
     step per loop iteration with one generator call (both Gauss nodes) and
-    one exponential.  `integrate` must equal it bit for bit, except for a
-    generator with ``slope_bound == 0.0``, whose nodes it fills by doubling."""
+    one exponential.  `integrate` forms the same step exponentials but
+    multiplies them in another order (a chunked prefix product, or doubling
+    for a generator with ``slope_bound == 0.0``), so its nodes must match
+    these to 1e-12 relative to each node's largest entry, not bit for bit."""
     if not (0.0 <= t_start < t_end <= 1.0):
         raise ValueError(f"need 0 <= t_start < t_end <= 1, got [{t_start}, {t_end}]")
     steps = int(steps)
@@ -193,6 +196,28 @@ def integrate_stepwise(generator: HessianPath, t_start: float = 0.0, t_end: floa
             mats[k + 1] = psi
     return SymplecticPath(dim=d, t_start=t_start, t_end=t_end, times=times,
                           matrices=mats, generator=generator)
+
+
+def restrict(path: SymplecticPath, a: float, b: float) -> SymplecticPath:
+    """Re-base the same flow on [a, b]: t -> Psi(t) Psi(a)^{-1}.
+
+    The result starts at the identity and is the linearized flow of the same
+    generator on the sub-interval (cocycle property).
+    """
+    if not (path.t_start - _DOMAIN_SLACK <= a < b <= path.t_end + _DOMAIN_SLACK):
+        raise ValueError(f"invalid restriction window [{a}, {b}]")
+    a = min(max(a, path.t_start), path.t_end)
+    b = min(max(b, path.t_start), path.t_end)
+    inv_a = symplectic_inverse(standard_structure(path.dim // 2), evaluate(path, a))
+    inner = (path.times > a + 1e-14) & (path.times < b - 1e-14)
+    times = np.concatenate(([a], path.times[inner], [b]))
+    mats = np.empty((len(times), path.dim, path.dim))
+    mats[0] = np.eye(path.dim)
+    if inner.any():
+        mats[1:-1] = path.matrices[inner] @ inv_a
+    mats[-1] = evaluate(path, b) @ inv_a
+    return SymplecticPath(dim=path.dim, t_start=a, t_end=b, times=times,
+                          matrices=mats, generator=path.generator)
 
 
 def exact_gate(path: SymplecticPath, ts: np.ndarray, base: int, _stride: int,

@@ -357,6 +357,20 @@ def test_sweep_non_finite_lambda_bound_is_usage_error(tmp_path, capsys, bounds, 
     assert f"sweep {flag} must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bound, message", [
+    (["--min", "-inf"], "argument --min: expected one argument"),
+    (["--min=-inf"], "sweep --min must be finite"),
+    (["--min", "-1e3"], "argument --min: expected one argument"),
+], ids=["space-inf", "equals-inf", "space-exponent"])
+def test_sweep_negative_bound_needs_equals_form(tmp_path, capsys, bound, message):
+    # argparse reads "-inf" and "-1e3" after a space as options, so such a
+    # bound has to be written --min=VALUE; either way the exit code is 2.
+    scn = write_scenario(tmp_path)
+    assert main(["sweep", str(scn), "--parameter", "lambda", *bound,
+                 "--max", "2", "--count", "3"]) == EXIT_PARSE
+    assert message in capsys.readouterr().err
+
+
 def test_sweep_count_one_rejected(tmp_path, capsys):
     scn = write_scenario(tmp_path)
     assert main(["sweep", str(scn), "--parameter", "lambda",
