@@ -206,33 +206,34 @@ def _certified(s_lo, s_hi, width, norm, bound, floor, steps=1):
 
     `evaluate` steps across each interval from its base node Psi_i, the node
     before its middle, with ||Psi_i|| <= ``norm`` = 1 + sigma_max(Psi_i - I)
-    at the first.  With (slope, growth, pade) from `flows.interpolant_bound`,
+    at the first.  With (slope, growth, taylor) from `flows.interpolant_bound`,
     sigma_min(exp(Omega) Psi_i - I) moves at most slope ||Psi_i|| per unit
-    time (sigma_min is 1-Lipschitz in the matrix), and `evaluate` stays
-    within pade ||Psi_i|| of exp(Omega) Psi_i.  `integrate` forms the nodes
+    time (sigma_min is 1-Lipschitz in the matrix), and `evaluate`, through
+    the truncated Taylor map of `symplectic_expm`, stays within
+    taylor ||Psi_i|| of exp(Omega) Psi_i.  `integrate` forms the nodes
     from the step exponentials E_k by a chunked prefix product or, for a
     constant generator, by doubling, so the next node is not E_i Psi_i
     rounded once; it is within `_ROUNDING` ||Psi_i|| of E_i Psi_i (measured
     below 2e-15 ||Psi_i||), so within jump ||Psi_i|| of exp(Omega) Psi_i,
-    jump = pade + `_ROUNDING` growth.  So every base node has ||Psi_i|| <=
+    jump = taylor + `_ROUNDING` growth.  So every base node has ||Psi_i|| <=
     N = norm (growth + jump)^(steps - 1) (`_span_norm`), and sigma_min jumps
     by at most jump N at each of the steps - 1 inner nodes.  Walking in from
     both ends, sigma_min(evaluate(t) - I) is at least
-    (s_lo + s_hi - N (width slope + 4 pade + (steps - 1) jump)) / 2 over the
-    span, while ||evaluate(t)|| <= (growth + pade) N.  The floor term is
+    (s_lo + s_hi - N (width slope + 4 taylor + (steps - 1) jump)) / 2 over the
+    span, while ||evaluate(t)|| <= (growth + taylor) N.  The floor term is
     doubled so that it also covers the rounding of one step product.
     """
-    slope, growth, pade = bound
+    slope, growth, taylor = bound
     norm = _span_norm(norm, bound, steps)
     with np.errstate(invalid="ignore"):  # an infinite bound (NaN charge) clears nothing
-        return s_lo + s_hi > norm * (width * slope + 4.0 * (floor * growth + pade)
-                                     + (steps - 1) * (pade + _ROUNDING * growth))
+        return s_lo + s_hi > norm * (width * slope + 4.0 * (floor * growth + taylor)
+                                     + (steps - 1) * (taylor + _ROUNDING * growth))
 
 
 def _span_norm(norm, bound, steps):
     """N of `_certified`, a bound on ||Psi_i|| at every base node of a span."""
-    _slope, growth, pade = bound
-    return norm * (growth + pade + _ROUNDING * growth) ** (steps - 1)
+    _slope, growth, taylor = bound
+    return norm * (growth + taylor + _ROUNDING * growth) ** (steps - 1)
 
 
 def _brent_zero(f, xa: float, xb: float, fa: float, fb: float) -> float:

@@ -1,4 +1,4 @@
-"""Symplectic conventions and exact small-matrix primitives.
+"""Symplectic conventions and small-matrix primitives.
 
 The whole package runs on a single compiled-in convention pair (J, omega):
 J is block-diagonal with 2x2 quarter-turn blocks, one per (q_i, p_i) plane,
@@ -6,7 +6,10 @@ and the Gram matrix of omega is -J, so that omega(u, J u) = |u|^2 and the
 quadratic Hamiltonian h(z) = z.S z/2 induces the linear field X = J S z.
 `hamiltonian_vector_field_selftest` certifies the dynamic consequences of
 these choices (flow symplecticity and the sign of the crossing form at a
-maximum) instead of trusting the derivation.
+maximum) instead of trusting the derivation.  `symplectic_expm`, the
+exponential of every flow step, is a scaled degree-8 Taylor map: it equals
+the exponential to unit roundoff, so it keeps a Hamiltonian matrix's image
+symplectic to rounding, with matrix products only.
 """
 
 from __future__ import annotations
@@ -28,6 +31,10 @@ __all__ = [
     "symplectic_expm",
     "hamiltonian_vector_field_selftest",
 ]
+
+# Largest ||Y||_1 at which the degree-8 Taylor remainder ||Y||^9 / 9! is at
+# most 2^-53 (`symplectic_expm`); about 0.0700.
+_THETA_8 = (2.0**-53 * math.factorial(9)) ** (1.0 / 9.0)
 
 
 @dataclass(frozen=True)
@@ -105,29 +112,39 @@ def symplectic_inverse(structure: StandardStructure, M) -> np.ndarray:
 
 
 def symplectic_expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring of a diagonal Pade map.
+    """Matrix exponential by scaling and squaring of the degree-8 Taylor map.
 
-    The (3,3) diagonal Pade approximant satisfies r(-x) r(x) = 1, so it maps
-    Hamiltonian matrices into the symplectic group exactly (in exact
-    arithmetic); squaring preserves that.  The fixed approximation order
-    keeps the one-step error scaling with the step size, so refinement
-    studies measure the integration scheme rather than rounding noise.
-    ``a`` is one matrix or a stack (..., d, d); each matrix gets its own
-    scaling exponent, so a stack equals the per-matrix calls bit for bit.
+    Each matrix X gets its own scaling exponent s, the smallest with
+    ||Y||_1 <= `_THETA_8` for Y = X / 2^s, and T_8(Y) = sum_{k <= 8} Y^k / k!
+    is squared s times.  The Taylor remainder is at most
+    ||Y||^9 / 9! / (1 - ||Y|| / 10) <= 1.01 u (u = 2^-53), so the map is the
+    exponential to unit roundoff and maps a Hamiltonian matrix to a
+    symplectic one to rounding, as any map does in floating point (Al-Mohy
+    and Higham, "A new scaling and squaring algorithm for the matrix
+    exponential", 2009; Sastre, Ibanez and Defez, "Boosting the computation
+    of the matrix exponential", 2019).  T_8 is evaluated by Paterson-
+    Stockmeyer with 4 products and no linear solve:
+    I + Y + Y^2/2 + Y^3/6 + Y^4 (I/24 + Y/120 + Y^2/720 + Y^3/5040 + Y^4/40320).
+    ``a`` is one matrix or a stack (..., d, d); every operation acts on each
+    matrix alone, so a stack equals the per-matrix calls bit for bit.
     """
     a = np.asarray(a, dtype=float)
     x = a.reshape(-1, *a.shape[-2:])
     eye = np.eye(a.shape[-1])
-    s = np.ceil(np.log2(np.maximum(np.abs(x).sum(axis=-2).max(axis=-1), 1.0)))
+    s = np.ceil(np.log2(np.maximum(np.abs(x).sum(axis=-2).max(axis=-1) / _THETA_8, 1.0)))
     squarings = s.max()
     if not math.isfinite(squarings):
         raise ValueError("non-finite matrix passed to symplectic_expm")
     x = x / (2.0**s)[:, None, None]
     x2 = x @ x
     x3 = x2 @ x
-    p = eye + 0.5 * x + x2 / 10.0 + x3 / 120.0
-    q = eye - 0.5 * x + x2 / 10.0 - x3 / 120.0
-    r = np.linalg.solve(q, p)
+    x4 = x2 @ x2
+    r = x4 * (1.0 / 40320.0)
+    for p, c in ((x3, 5040.0), (x2, 720.0), (x, 120.0), (eye, 24.0)):
+        r += p * (1.0 / c)
+    r = x4 @ r
+    for p in (x3 * (1.0 / 6.0), x2 * 0.5, x, eye):
+        r += p
     for j in range(int(squarings)):
         r = np.where((s > j)[:, None, None], r @ r, r)
     return r.reshape(a.shape)

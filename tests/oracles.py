@@ -9,9 +9,11 @@ and (in dimension 2) from the winding of the eigenvalue angle.
 `integrate_stepwise` is the per-step loop that the blocked `integrate` must
 reproduce (to 1e-12 relative per node), `restrict` re-bases a path on a
 sub-window, `constant_flow` is the closed form exp(t J S) of a constant
-generator, `frame_phase` the graph phase from the 2n x 2n frame
-determinant, in exact arithmetic, and `concatenation_check` compares three
-separately lifted `rs_index` windows.
+generator, from scipy's `expm` and independent of the package's Taylor
+map, `refinement_orders` the observed order of `integrate` under step
+doubling against a fine run, `frame_phase` the graph phase from the
+2n x 2n frame determinant, in exact arithmetic, and `concatenation_check`
+compares three separately lifted `rs_index` windows.
 """
 
 from __future__ import annotations
@@ -60,9 +62,20 @@ def block_flow(speeds, t: float) -> np.ndarray:
 
 def constant_flow(s: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Closed form exp(t J S) of a constant generator S at each of ``times``,
-    from scipy's `expm`, independent of the package's Pade map."""
+    from scipy's `expm`, independent of the package's Taylor map."""
     js = standard_structure(len(s) // 2).J @ s
     return np.stack([expm(t * js) for t in times])
+
+
+def refinement_orders(generator: HessianPath, steps=(64, 128, 256, 512),
+                      reference_steps: int = 16384) -> tuple[list[float], list[float]]:
+    """Observed orders log2(err_n / err_2n) of Psi(1) from `integrate` at
+    ``steps`` (each double the last), and the errors, the largest entry of
+    Psi_n(1) - Psi_ref(1) against a ``reference_steps`` run."""
+    ref = integrate(generator, 0.0, 1.0, reference_steps).matrices[-1]
+    errs = [float(np.abs(integrate(generator, 0.0, 1.0, n).matrices[-1] - ref).max())
+            for n in steps]
+    return [math.log2(a / b) for a, b in zip(errs, errs[1:])], errs
 
 
 def crossing_times(speed: float, t_max: float = 1.0):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, expm
 
 import hoferlab
 from hoferlab import (
@@ -33,7 +34,9 @@ from hoferlab.flows import (
     _slope_system,
     _spline_coefficients,
     graph_phase,
+    interpolant_bound,
 )
+from hoferlab.symplectic import _THETA_8
 from tests.oracles import (
     aliased_fourier,
     aliased_spline,
@@ -47,6 +50,7 @@ from tests.oracles import (
     random_indefinite_fourier,
     random_negdef_fourier,
     random_symplectic,
+    refinement_orders,
     restrict,
 )
 
@@ -570,8 +574,8 @@ def test_integrate_exponentiates_once_per_path_when_time_independent(kind, expon
 @pytest.mark.parametrize("dim", [2, 4, 6])
 def test_integrate_time_independent_matches_closed_form(dim, rng):
     # Doubled nodes E^k against exp(t J S) at 8192 steps, with ||S|| = 20 (a
-    # few turns).  Magnus is exact for a constant S and the Pade error is
-    # below 1e-20 per step, so only rounding remains: at most 4 steps eps
+    # few turns).  Magnus is exact for a constant S and the Taylor map is
+    # exact to unit roundoff, so only rounding remains: at most 4 steps eps
     # relative to each node's largest entry (the loop's error is the same size).
     s0 = random_negdef_fourier(dim, rng).stack[0]
     s = 20.0 / np.linalg.norm(s0, 2) * s0
@@ -754,6 +758,65 @@ def test_autonomous_group_law(rng):
         assert np.abs(lhs - rhs).max() <= 1e-8
 
 
+def _hyperbolic_draw(dim: int, rng) -> HessianPath:
+    """12 diag(1, -1, ...) + m with harmonics m cos and m' sin (random
+    symmetric m, m'): a hyperbolic flow whose axes turn, ||Psi(1)|| 1e4-1e6."""
+    m, m2 = (0.5 * (a + a.T) for a in rng.normal(size=(2, dim, dim)))
+    return HessianPath.fourier(12.0 * np.kron(np.eye(dim // 2), np.diag([1.0, -1.0])) + m,
+                               [m], [m2])
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_node_gate_is_relative_to_the_node_size(dim, rng):
+    # The symplectic residual and determinant defect round like
+    # eps ||Psi||^2; an absolute 1e-9 rejected these correct flows.
+    gen = _hyperbolic_draw(dim, rng)
+    om = standard_structure(dim // 2).omega_matrix
+    for steps in (64, 512, 2048):
+        path = integrate(gen, 0.0, 1.0, steps)
+        m = path.matrices
+        size = np.abs(m).max(axis=(1, 2)) ** 2
+        assert size.max() >= 1e8 and path.max_symplectic_residual > 1e-9
+        residual = np.abs(m.swapaxes(1, 2) @ om @ m - om).max(axis=(1, 2))
+        assert (residual <= 64 * np.finfo(float).eps * size).all()
+        _assert_matches_loop(path, integrate_stepwise(gen, 0.0, 1.0, steps))
+
+
+@pytest.mark.parametrize("make", [random_negdef_fourier, _hyperbolic_draw])
+def test_node_off_the_group_raises(make, rng):
+    path = integrate(make(4, rng), 0.0, 1.0, 512)
+    for node in (100, 512):
+        mats = path.matrices.copy()
+        mats[node] += 1e-6 * np.abs(mats[node]).max() * rng.normal(size=(4, 4))
+        with pytest.raises(IntegrationError, match=f"symplectic residual .* at node {node}"):
+            dataclasses.replace(path, matrices=mats)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_interpolant_bound_covers_the_taylor_map(dim, rng):
+    # The crossing gate charges `interpolant_bound`'s third term for the
+    # distance between `symplectic_expm` and the exponential at step norm w.
+    # The rounding allowance 64 d eps e^w comes on top: up to 6 squarings
+    # (||Omega||_1 <= sqrt(6) w) each double the rounding of the Taylor map,
+    # plus scipy's own error (measured below 24 eps e^w).
+    eps = np.finfo(float).eps
+    J = standard_structure(dim // 2).J
+    for w in (1e-3, _THETA_8, 0.3, 1.0):
+        # S = -c I at 8 steps: w = h c + (sqrt(3)/6) h^2 c^2 with h = 1/8.
+        k, h = math.sqrt(3.0) / 6.0, 0.125
+        c = (-h + math.sqrt(h * h + 4.0 * k * h * h * w)) / (2.0 * k * h * h)
+        path = integrate(HessianPath.constant(-c * np.eye(dim)), 0.0, 1.0, 8)
+        _slope, growth, taylor = interpolant_bound(path)
+        assert growth == pytest.approx(math.exp(w), rel=1e-12)
+        assert taylor <= 3e-5 * w**7 * growth  # a (3,3) Pade map's term
+        for _ in range(20):
+            s = rng.normal(size=(dim, dim))
+            omega = J @ (s + s.T)
+            omega *= w / np.linalg.norm(omega, 2)
+            gap = np.linalg.norm(symplectic_expm(omega) - expm(omega), 2)
+            assert gap <= taylor + 64 * dim * eps * growth
+
+
 def test_determinant_one_everywhere(rng):
     gen = random_negdef_fourier(6, rng)
     path = integrate(gen, 0.0, 1.0, 512)
@@ -761,14 +824,15 @@ def test_determinant_one_everywhere(rng):
 
 
 def test_refinement_convergence_order():
-    # Constant generator: the Magnus average is exact, so the measured order
-    # is that of the fixed-order exponential map (six), comfortably above
-    # the fourth-order floor the stepper guarantees for time-dependent S.
+    # Time-dependent generators whose values do not commute: the error is
+    # the fourth-order Magnus scheme's, measured against a 16384-step run.
+    for dim, seed in ((2, 16180), (6, 2718)):
+        orders, errs = refinement_orders(random_negdef_fourier(dim, np.random.default_rng(seed)))
+        assert min(orders) >= 3.7, f"dim {dim}: orders {orders}, errors {errs}"
+    # A constant generator: the Magnus average is exact and the exponential
+    # is exact to unit roundoff, so at every step count only rounding is left.
     speed = 40.0
-    gen = constant_planar(speed)
-    errs = []
     for steps in (64, 128, 256):
-        path = integrate(gen, 0.0, 1.0, steps)
-        errs.append(np.abs(path.matrices[-1] - planar_flow(speed, 1.0)).max())
-    orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
-    assert min(orders) >= 3.7
+        path = integrate(constant_planar(speed), 0.0, 1.0, steps)
+        err = np.abs(path.matrices[-1] - planar_flow(speed, 1.0)).max()
+        assert err <= 4 * steps * np.finfo(float).eps

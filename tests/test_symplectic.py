@@ -17,6 +17,7 @@ from hoferlab import (
     symplectic_inverse,
     symplectic_residual,
 )
+from hoferlab.symplectic import _THETA_8
 
 
 def test_standard_structure_n1_quarter_turn(struct2):
@@ -148,3 +149,42 @@ def test_symplectic_expm_stack_matches_per_matrix_calls(rng):
     a[1, 2, 0, 0] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
         symplectic_expm(a)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_symplectic_expm_accurate_across_the_scaling_threshold(dim, rng):
+    from scipy.linalg import expm
+
+    eps = np.finfo(float).eps
+    J = standard_structure(dim // 2).J
+    m = rng.normal(size=(400, dim, dim))
+    a = J @ (m + m.swapaxes(1, 2))
+    # 1-norms from 1e-4 to 50 in one stack: no squaring up to _THETA_8, up
+    # to 10 squarings above it.
+    norms = np.exp(rng.uniform(np.log(1e-4), np.log(50.0), 400))
+    a *= (norms / np.abs(a).sum(axis=-2).max(axis=-1))[:, None, None]
+    unscaled = norms <= _THETA_8
+    assert 50 < unscaled.sum() < 350
+    got = symplectic_expm(a)
+    ref = np.stack([expm(x) for x in a])
+    err = np.abs(got - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+    om = standard_structure(dim // 2).omega_matrix
+    residual = np.abs(got.swapaxes(1, 2) @ om @ got - om).max(axis=(1, 2))
+    size = np.maximum(1.0, np.abs(got).max(axis=(1, 2)) ** 2)
+    # Without squaring both are a few roundings; the exponential's condition
+    # grows with ||X||, and each squaring doubles the rounding of T_8(Y).
+    assert (err[unscaled] <= 8 * eps).all() and (residual[unscaled] <= 8 * eps).all()
+    assert (err <= 1e-12 * np.maximum(1.0, norms)).all()
+    assert (residual <= 1e-12 * size).all()
+
+
+def test_symplectic_expm_makes_no_linear_solve(rng, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("symplectic_expm called a linear solve")
+
+    for name in ("solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    s = rng.normal(size=(16, 6, 6))
+    a = standard_structure(3).J @ (s + s.swapaxes(1, 2))
+    a *= np.geomspace(1e-3, 20.0, 16)[:, None, None]
+    assert np.isfinite(symplectic_expm(a)).all()
