@@ -1,10 +1,13 @@
 """Numerical laboratory for Conley-Zehnder/Maslov indices of linearized
 Hamiltonian flows and Morse indices of Hofer geodesic scenarios.
 
-The package integrates Psi' = J S(t) Psi with a structurally symplectic
-Magnus stepper, detects crossings with the Maslov cycle (eigenvalue-1
-times) by singular-value tracking, reads Robbin-Salamon indices as the
-spectral flow of the unitary of the graph of Psi, and verifies that the
+The package integrates Psi' = J S(t) Psi with a fourth-order Magnus scheme
+whose every step is the exponential of a Hamiltonian matrix to unit
+roundoff, so symplectic to rounding; detects crossings with the Maslov cycle
+(eigenvalue-1 times) by certifying spans of node intervals crossing-free
+from sigma_min(Psi - I) at their ends and root-finding, in the rest, each
+eigenangle of the graph unitary that changes sign; reads Robbin-Salamon
+indices as the spectral flow of that unitary; and verifies that the
 conjugate-time multiplicity sum at the maximizer equals |CZ(1) - CZ(eps)|.
 """
 

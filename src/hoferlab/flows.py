@@ -404,14 +404,17 @@ class SymplecticPath:
     """Monodromy path Psi(t) with Psi(t_start) = I and dense evaluation.
 
     Node matrices are validated at construction: finite entries, unit start,
-    and at each node M the symplectic residual max |M^T Omega M - Omega| and
-    the determinant defect |det M - 1| both at most 1e-9 max(1, max |M|^2),
-    since their rounding grows with the node's squared size; the largest
-    absolute values are kept as ``max_symplectic_residual`` and
-    ``max_det_error``.  It keeps
-    ``end_sigma``, the singular values of Psi(t_end) - I (descending), where
-    nondegeneracy is decided; node sigma bounds (`sigma_min_nodes`) and graph
-    phases (`graph_phase`) are computed on demand, where the scan reads them.
+    and at each node M the symplectic residual max |E_ij|, E = M^T Omega M -
+    Omega, at most 1e-9 max(1, max |M|^2), since its rounding grows with the
+    node's squared size; the largest absolute value is kept as
+    ``max_symplectic_residual``.  The residual also bounds the determinant:
+    Omega + E = M^T Omega M is skew, so det M = Pf(Omega + E) / Pf(Omega) =
+    1 + tr(Omega^-1 E) / 2 + O(||E||^2), sign included, and |det M - 1| <=
+    (d/2) max |E_ij| to first order.  The gate holds det M to 1 only up to
+    that factor d/2.  It keeps ``end_sigma``, the singular values of
+    Psi(t_end) - I (descending), where nondegeneracy is decided; node sigma
+    bounds (`sigma_min_nodes`) and graph phases (`graph_phase`) are computed
+    on demand, where the scan reads them.
     Instances are immutable by convention and thread-safe.
     """
 
@@ -422,7 +425,6 @@ class SymplecticPath:
     matrices: np.ndarray
     generator: HessianPath
     max_symplectic_residual: float = field(init=False)
-    max_det_error: float = field(init=False)
     end_sigma: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -442,17 +444,15 @@ class SymplecticPath:
         del mt_om
         res -= standard_structure(self.dim // 2).omega_matrix
         np.abs(res, out=res)
-        det = np.abs(np.linalg.det(m) - 1.0)
-        self.max_symplectic_residual, self.max_det_error = float(res.max()), float(det.max())
-        if max(self.max_symplectic_residual, self.max_det_error) > _NODE_RESIDUAL_TOL:
-            # Both defects round like eps ||Psi||^2, so each node's gate scales with it.
+        self.max_symplectic_residual = float(res.max())
+        if self.max_symplectic_residual > _NODE_RESIDUAL_TOL:
+            # The residual rounds like eps ||Psi||^2, so each node's gate scales with it.
             tol = _NODE_RESIDUAL_TOL * np.maximum(1.0, np.abs(m).max(axis=(1, 2)) ** 2)
-            for name, defect in (("symplectic residual", res.max(axis=(1, 2))),
-                                 ("determinant defect", det)):
-                if (defect > tol).any():
-                    i = int(np.argmax(defect > tol))
-                    raise IntegrationError(f"{name} {defect[i]:.3e} exceeds 1e-9 max(1, "
-                                           f"max|Psi|^2) = {tol[i]:.3e} at node {i}")
+            defect = res.max(axis=(1, 2))
+            if (defect > tol).any():
+                i = int(np.argmax(defect > tol))
+                raise IntegrationError(f"symplectic residual {defect[i]:.3e} exceeds 1e-9 max(1, "
+                                       f"max|Psi|^2) = {tol[i]:.3e} at node {i}")
         self.end_sigma = np.linalg.svd(self.matrices[-1] - np.eye(self.dim), compute_uv=False)
 
     @property

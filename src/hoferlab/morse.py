@@ -188,7 +188,7 @@ def verify_theorem(scenario, steps: int | None = None, epsilon: float | None = N
         eps = float(epsilon)
         if not (0.0 < eps < 1.0):
             raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
-        if crossings_max and eps >= crossings_max[0].time - 1e-9:
+        if crossings_max and eps >= crossings_max[0].time - ENDPOINT_TOL:
             raise ValueError(f"epsilon {eps} is not admissible: first crossing at "
                              f"t={crossings_max[0].time:.6f}")
 
@@ -198,8 +198,6 @@ def verify_theorem(scenario, steps: int | None = None, epsilon: float | None = N
     residuals = {
         "symplectic_residual_max_path": path_max.max_symplectic_residual,
         "symplectic_residual_min_path": path_min.max_symplectic_residual,
-        "det_error_max_path": path_max.max_det_error,
-        "det_error_min_path": path_min.max_det_error,
         "sigma_min_at_1_max_path": float(path_max.end_sigma[-1]),
         "sigma_min_at_1_min_path": float(path_min.end_sigma[-1]),
     }

@@ -493,15 +493,16 @@ def test_integrate_matches_stepwise_loop(kind, dim, rng):
 
 
 def test_integrate_matches_stepwise_loop_across_scaling_exponents():
-    # Step norms from about 0.8 to 8.6 inside one block: the exponentials of
-    # one stack take 0 to 4 squarings.
+    # Step 1-norms from about 0.79 to 8.6 inside one block: scaled to at most
+    # _THETA_8, the exponentials of one stack take 4 to 7 squarings.
     gen = HessianPath.fourier(-300.0 * np.eye(2), [-250.0 * np.eye(2)])
     steps = 64
     h = 1.0 / steps
     starts = np.linspace(0.0, 1.0, steps + 1)[:-1]
     exps = _magnus_exponent(gen, standard_structure(1).J, starts, h)
-    squarings = np.ceil(np.log2(np.maximum(np.abs(exps).sum(axis=-2).max(axis=-1), 1.0)))
-    assert set(squarings) == {0.0, 1.0, 2.0, 3.0, 4.0}
+    norms = np.abs(exps).sum(axis=-2).max(axis=-1)
+    squarings = np.ceil(np.log2(np.maximum(norms / _THETA_8, 1.0)))
+    assert set(squarings) == {4.0, 5.0, 6.0, 7.0}
     _assert_matches_loop(integrate(gen, 0.0, 1.0, steps), integrate_stepwise(gen, 0.0, 1.0, steps))
 
 
@@ -768,8 +769,8 @@ def _hyperbolic_draw(dim: int, rng) -> HessianPath:
 
 @pytest.mark.parametrize("dim", [2, 4, 6])
 def test_node_gate_is_relative_to_the_node_size(dim, rng):
-    # The symplectic residual and determinant defect round like
-    # eps ||Psi||^2; an absolute 1e-9 rejected these correct flows.
+    # The symplectic residual rounds like eps ||Psi||^2; an absolute 1e-9
+    # rejected these correct flows.
     gen = _hyperbolic_draw(dim, rng)
     om = standard_structure(dim // 2).omega_matrix
     for steps in (64, 512, 2048):
@@ -820,7 +821,31 @@ def test_interpolant_bound_covers_the_taylor_map(dim, rng):
 def test_determinant_one_everywhere(rng):
     gen = random_negdef_fourier(6, rng)
     path = integrate(gen, 0.0, 1.0, 512)
-    assert path.max_det_error <= 1e-9
+    assert np.abs(np.linalg.det(path.matrices) - 1.0).max() <= 1e-9
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_symplectic_residual_bounds_the_determinant_defect(dim, rng):
+    # The node gate reads only E = M^T Omega M - Omega, and det M - 1 =
+    # tr(Omega^-1 E) / 2 + O(||E||^2) gives |det M - 1| <= (d/2) max |E_ij|
+    # to first order. Perturbed nodes stay within that, with 1% for the
+    # second-order term and 8 d eps max(1, max|M|^2) for the rounding of det
+    # and E; from d = 4 on, some defect exceeds max |E_ij| itself.
+    eps = np.finfo(float).eps
+    om = standard_structure(dim // 2).omega_matrix
+    worst = 0.0
+    for make in (random_negdef_fourier, _hyperbolic_draw):
+        m = integrate(make(dim, rng), 0.0, 1.0, 256).matrices[::8]
+        for rel in 10.0 ** np.arange(-12.0, -5.5):
+            p = m + rel * np.abs(m).max(axis=(1, 2))[:, None, None] * rng.normal(size=m.shape)
+            e = np.abs(p.swapaxes(1, 2) @ om @ p - om).max(axis=(1, 2))
+            defect = np.abs(np.linalg.det(p) - 1.0)
+            rounding = 8 * dim * eps * np.maximum(1.0, np.abs(p).max(axis=(1, 2)) ** 2)
+            keep = e <= 1e-3
+            assert keep.any()
+            assert (defect <= dim / 2 * e * (1 + 1e-2) + rounding)[keep].all()
+            worst = max(worst, (defect / e)[keep & (e > 1e3 * rounding)].max(initial=0.0))
+    assert dim == 2 or worst > 1.0
 
 
 def test_refinement_convergence_order():

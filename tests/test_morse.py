@@ -240,6 +240,9 @@ def test_report_serialization_roundtrip():
     assert doc["morse_index_plus"] == 4
     assert len(doc["crossings_max"]) == 2
     assert doc["cz_at_1"]["policy"] == "rs_halves"
+    assert set(doc["residuals"]) == {
+        "symplectic_residual_max_path", "symplectic_residual_min_path",
+        "sigma_min_at_1_max_path", "sigma_min_at_1_min_path", "normalization_residual"}
     import json
 
     json.dumps(doc)  # must be JSON-serializable as-is
