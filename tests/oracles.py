@@ -7,13 +7,15 @@ than the package's spectral flow: from the crossing forms of the scan, from
 the inertia of the Cayley transform (on windows clear of eigenvalue -1),
 and (in dimension 2) from the winding of the eigenvalue angle.
 `integrate_stepwise` is the per-step loop that the blocked `integrate` must
-reproduce (to 1e-12 relative per node), `restrict` re-bases a path on a
-sub-window, `constant_flow` is the closed form exp(t J S) of a constant
-generator, from scipy's `expm` and independent of the package's Taylor
-map, `refinement_orders` the observed order of `integrate` under step
-doubling against a fine run, `frame_phase` the graph phase from the
-2n x 2n frame determinant, in exact arithmetic, and `concatenation_check`
-compares three separately lifted `rs_index` windows.
+reproduce (to 1e-12 relative per node), `magnus_exponent` the step exponent
+from checked generator values that the step table must reproduce (to 1e-14
+relative), `restrict` re-bases a path on a sub-window, `constant_flow` is
+the closed form exp(t J S) of a constant generator, from scipy's `expm` and
+independent of the package's Taylor map, `refinement_orders` the observed
+order of `integrate` under step doubling against a fine run, `frame_phase`
+the graph phase from the 2n x 2n frame determinant, in exact arithmetic,
+and `concatenation_check` compares three separately lifted `rs_index`
+windows.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from hoferlab import (
     EndpointCrossingError,
     HessianPath,
     IndexValue,
+    IntegrationError,
     IrregularCrossingError,
     SymplecticPath,
     check_nondegenerate,
@@ -39,7 +42,7 @@ from hoferlab import (
     rs_index,
 )
 from hoferlab.crossings import ENDPOINT_TOL, KERNEL_RATIO, _certified, _scan_closed, _sigma_min
-from hoferlab.flows import _DOMAIN_SLACK, MIN_STEPS, _magnus_exponent
+from hoferlab.flows import _DOMAIN_SLACK, _GAUSS_OFFSETS, _SYMMETRY_TOL, MIN_STEPS
 from hoferlab.symplectic import standard_structure, symplectic_expm, symplectic_inverse
 
 TWO_PI = 2.0 * math.pi
@@ -181,14 +184,41 @@ def random_symplectic(dim: int, rng: np.random.Generator, scale: float = 0.6) ->
     return symplectic_expm(J @ s)
 
 
+def magnus_exponent(generator: HessianPath, J: np.ndarray, t0, h: float) -> np.ndarray:
+    """Reference for the step table: the exponent of the Magnus step
+    [t0, t0 + h], or the (m, d, d) stack of exponents for a 1-D array of
+    step starts t0, from generator values at both Gauss nodes of each step.
+
+    The values are checked in one pass: max |S - S^T| <= 1e-9 holds for no
+    non-finite entry and implies each matrix's own test.  Only when it fails
+    does the per-matrix test run, to report the first bad node.
+    """
+    s = generator(np.add.outer(t0, h * _GAUSS_OFFSETS))  # both Gauss nodes of each step
+    with np.errstate(invalid="ignore"):
+        if not np.abs(s - s.swapaxes(-1, -2)).max() <= _SYMMETRY_TOL:
+            scale = np.abs(s).max(axis=(-2, -1))
+            skew = np.abs(s - s.swapaxes(-1, -2)).max(axis=(-2, -1))
+            bad = ~np.isfinite(scale) | (skew > _SYMMETRY_TOL * np.maximum(1.0, scale))
+            if bad.any():
+                # Report the first bad node in time order, finiteness checked first.
+                if not np.isfinite(scale.flat[np.argmax(bad)]):
+                    raise IntegrationError("generator returned non-finite values")
+                raise IntegrationError("non-symmetric generator value at a quadrature point")
+    a = J @ s
+    a1, a2 = a[..., 0, :, :], a[..., 1, :, :]
+    return 0.5 * h * (a1 + a2) + (math.sqrt(3.0) / 12.0) * h * h * (a2 @ a1 - a1 @ a2)
+
+
 def integrate_stepwise(generator: HessianPath, t_start: float = 0.0, t_end: float = 1.0,
                        steps: int = 2048) -> SymplecticPath:
     """Reference for `integrate`: the same fourth-order Magnus scheme, one
-    step per loop iteration with one generator call (both Gauss nodes) and
-    one exponential.  `integrate` forms the same step exponentials but
-    multiplies them in another order (a chunked prefix product, or doubling
-    for a generator with ``slope_bound == 0.0``), so its nodes must match
-    these to 1e-12 relative to each node's largest entry, not bit for bit."""
+    step per loop iteration with one generator call (both Gauss nodes,
+    checked by `magnus_exponent`) and one exponential.  `integrate` reads
+    its step exponents from the generator's step table instead, equal to
+    these to rounding, and multiplies them in another order (a chunked
+    prefix product, or doubling for a generator with ``slope_bound ==
+    0.0``), so its nodes must match these to 1e-12 relative to each node's
+    largest entry, not bit for bit."""
     if not (0.0 <= t_start < t_end <= 1.0):
         raise ValueError(f"need 0 <= t_start < t_end <= 1, got [{t_start}, {t_end}]")
     steps = int(steps)
@@ -204,7 +234,7 @@ def integrate_stepwise(generator: HessianPath, t_start: float = 0.0, t_end: floa
     # Overflow shows up as non-finite nodes and is rejected at construction.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
-            w = _magnus_exponent(generator, J, times[k], h)
+            w = magnus_exponent(generator, J, times[k], h)
             psi = symplectic_expm(w) @ psi
             mats[k + 1] = psi
     return SymplecticPath(dim=d, t_start=t_start, t_end=t_end, times=times,

@@ -28,7 +28,6 @@ from hoferlab import (
     symplectic_residual,
 )
 from hoferlab.flows import (
-    _magnus_exponent,
     _node_sigma_bounds,
     _require_symmetric,
     _slope_system,
@@ -45,6 +44,7 @@ from tests.oracles import (
     constant_planar,
     frame_phase,
     integrate_stepwise,
+    magnus_exponent,
     planar_flow,
     TWO_PI,
     random_indefinite_fourier,
@@ -499,11 +499,92 @@ def test_integrate_matches_stepwise_loop_across_scaling_exponents():
     steps = 64
     h = 1.0 / steps
     starts = np.linspace(0.0, 1.0, steps + 1)[:-1]
-    exps = _magnus_exponent(gen, standard_structure(1).J, starts, h)
+    exps = magnus_exponent(gen, standard_structure(1).J, starts, h)
     norms = np.abs(exps).sum(axis=-2).max(axis=-1)
     squarings = np.ceil(np.log2(np.maximum(norms / _THETA_8, 1.0)))
     assert set(squarings) == {4.0, 5.0, 6.0, 7.0}
     _assert_matches_loop(integrate(gen, 0.0, 1.0, steps), integrate_stepwise(gen, 0.0, 1.0, steps))
+
+
+def _table_case(case: str, dim: int, rng) -> tuple[HessianPath, int]:
+    """(generator, steps) for the step table tests; the direct sum is a
+    2049-knot spline of dimension dim + 2."""
+    fourier = random_negdef_fourier(dim, rng)
+    s0, cos, sin = fourier.stack[0], fourier.stack[1:3], fourier.stack[3:]
+    return {
+        "fourier": lambda: (fourier, 512),
+        "cos_only": lambda: (HessianPath.fourier(s0, cos), 512),
+        "sin_only": lambda: (HessianPath.fourier(s0, (), sin), 512),
+        "zero_harmonics": lambda: (HessianPath.fourier(s0, [0.0 * s0], [0.0 * s0]), 512),
+        "constant": lambda: (HessianPath.constant(s0), 512),
+        "spline_257_aligned": lambda: (HessianPath.sampled(fourier(np.linspace(0, 1, 257))), 8192),
+        "spline_10_straddling": lambda: (HessianPath.sampled(fourier(np.linspace(0, 1, 10))), 1100),
+        "direct_sum_2049": lambda: (direct_sum(
+            HessianPath.sampled(fourier(np.linspace(0.0, 1.0, 65))), constant_planar(2.0)), 2048),
+    }[case]()
+
+
+def _straddling_steps(gen: HessianPath, starts, h) -> int:
+    """Steps whose two Gauss nodes lie in different knot intervals."""
+    if gen.kind != "sampled":
+        return 0
+    inner = np.linspace(0.0, 1.0, len(gen.stack))[1:-1]
+    nodes = np.add.outer(starts, h * (0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0))
+    i = np.searchsorted(inner, nodes, "right")
+    return int(np.count_nonzero(i[:, 0] != i[:, 1]))
+
+
+@pytest.mark.parametrize("negate", [False, True], ids=["plain", "negated"])
+@pytest.mark.parametrize("case", ["fourier", "cos_only", "sin_only", "zero_harmonics", "constant",
+                                  "spline_257_aligned", "spline_10_straddling", "direct_sum_2049"])
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_step_table_matches_value_exponents(dim, case, negate, rng):
+    # Every exponent read from the step table is within 1e-14 of the one
+    # formed from checked generator values (`tests/oracles.magnus_exponent`),
+    # relative to the step's largest entry; a generator with one value has
+    # the exponent h J S bit for bit.
+    gen, steps = _table_case(case, dim, rng)
+    assert (len(gen.stack) == 2049) == (case == "direct_sum_2049")
+    if negate:
+        gen = gen.negated()
+    J = standard_structure(gen.dim // 2).J
+    starts = np.linspace(0.0, 1.0, steps + 1)[:-1]
+    h = 1.0 / steps
+    table = hoferlab.flows._step_exponents(gen, starts, h)
+    values = magnus_exponent(gen, J, starts, h)
+    assert (_straddling_steps(gen, starts, h) > 0) == (case == "spline_10_straddling")
+    err = np.abs(table - values).max(axis=(1, 2))
+    assert (err <= 1e-14 * np.abs(values).max(axis=(1, 2))).all()
+    if gen.slope_bound == 0.0:
+        assert np.array_equal(table, np.broadcast_to(h * (J @ gen.stack[0]), table.shape))
+    # `evaluate`'s sub-steps: one step of any length from a node.
+    for t0, s in ((0.0, 0.3 * h), (0.5, 0.77 * h), (starts[-1], h)):
+        one = hoferlab.flows._step_exponents(gen, np.array([t0]), s)[0]
+        ref = magnus_exponent(gen, J, t0, s)
+        assert np.abs(one - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("case", ["fourier", "constant", "spline_257_aligned",
+                                  "spline_10_straddling"])
+def test_integrate_and_evaluate_never_call_the_generator(case, rng, monkeypatch):
+    gen, steps = _table_case(case, 4, rng)
+    calls = []
+    base = HessianPath.__call__
+    monkeypatch.setattr(HessianPath, "__call__", lambda self, t: calls.append(t) or base(self, t))
+    path = integrate(gen, 0.0, 1.0, steps)
+    for t in (0.123456, 0.5 + 0.3 / steps, 0.999):
+        evaluate(path, t)
+    assert calls == []
+    integrate_stepwise(gen, 0.0, 1.0, 8)
+    assert len(calls) == 8
+
+
+def _patch_generator_values(monkeypatch, defect):
+    """Make every generator call return ``defect(t, S(t))`` instead of S(t).
+    `integrate` and `evaluate` read the step table and never call it."""
+    base = HessianPath.__call__
+    monkeypatch.setattr(HessianPath, "__call__",
+                        lambda self, t: defect(np.asarray(t, dtype=float), np.array(base(self, t))))
 
 
 @pytest.mark.parametrize("nan_after, skew_after, message", [
@@ -511,48 +592,58 @@ def test_integrate_matches_stepwise_loop_across_scaling_exponents():
     (0.2, 0.1, "non-symmetric"),
     (0.6, 0.3, "non-symmetric"),
 ])
-def test_integrate_reports_the_first_bad_generator_value(nan_after, skew_after, message):
-    # With 1100 steps, 0.1 and 0.2 fall in the first block and 0.6 in the second.
-    gen = constant_planar(3.0)
-    base = gen._evaluator
-
-    def evaluator(t):
-        s = np.array(base(t))
+def test_integrate_reports_the_first_bad_generator_value(nan_after, skew_after, message,
+                                                         monkeypatch):
+    # Values are checked where they are read: by the stepwise reference at
+    # each Gauss node (with 1100 steps, 0.1 and 0.2 fall in its first 512
+    # steps and 0.6 after), and in the stack when a generator is built.
+    def defect(t, s):
         s[..., 0, 0] = np.where(t > nan_after, np.nan, s[..., 0, 0])
         s[..., 0, 1] += np.where(t > skew_after, 1.0, 0.0)
         return s
 
-    gen._evaluator = evaluator
-    for run in (integrate, integrate_stepwise):
-        with pytest.raises(IntegrationError, match=message):
-            run(gen, 0.0, 1.0, 1100)
+    gen = constant_planar(3.0)
+    expected = integrate(gen, 0.0, 1.0, 1100).matrices
+    _patch_generator_values(monkeypatch, defect)
+    with pytest.raises(IntegrationError, match=message):
+        integrate_stepwise(gen, 0.0, 1.0, 1100)
+    assert np.array_equal(integrate(gen, 0.0, 1.0, 1100).matrices, expected)
+    monkeypatch.undo()
+    knots = np.linspace(0.0, 1.0, 11)
+    stack = defect(knots, np.stack([gen(t) for t in knots]))
+    first = int(np.argmax(knots > min(nan_after, skew_after)))
+    what = "has non-finite entries" if message == "non-finite" else "is not symmetric"
+    with pytest.raises(ValueError, match=f"sampled coefficient {first} {what}"):
+        HessianPath.sampled(stack)
 
 
 @pytest.mark.parametrize("bad, message", [("skew", None), ("inf", "generator returned non-finite")])
-def test_integrate_block_check_falls_back_to_the_per_matrix_test(bad, message):
-    # Entries about 1e4: a skew of 1e-6 fails the whole-block test
-    # max |S - S^T| <= 1e-9 but passes the per-matrix test relative to the
-    # scale.  The short window keeps the skewed flow's symplectic residual
-    # below the node tolerance.
-    gen = constant_planar(1e4)
-    base = gen._evaluator
-
-    def evaluator(t):
-        s = np.array(base(t))
+def test_integrate_block_check_falls_back_to_the_per_matrix_test(bad, message, monkeypatch):
+    # Entries about 1e4: a skew of 1e-6 fails the stepwise reference's
+    # whole-block test max |S - S^T| <= 1e-9 but passes the per-matrix test
+    # relative to the scale; the stack check at construction is relative to
+    # each matrix's scale too, so it accepts the same skew and symmetrizes it.
+    def defect(t, s):
         if bad == "skew":
             s[..., 0, 1] += 1e-6
         else:
             s[..., 1, 1] = np.where(t > 0.3e-4, np.inf, s[..., 1, 1])
         return s
 
-    gen._evaluator = evaluator
+    gen = constant_planar(1e4)
+    stack = defect(np.ones(1), gen.stack.copy())
+    _patch_generator_values(monkeypatch, defect)
     if message is None:
-        _assert_matches_loop(integrate(gen, 0.0, 1e-4, 1100),
-                             integrate_stepwise(gen, 0.0, 1e-4, 1100))
+        integrate_stepwise(gen, 0.0, 1e-4, 1100)
+        monkeypatch.undo()
+        symmetrized = 0.5 * (stack + stack.swapaxes(1, 2))
+        assert np.array_equal(HessianPath.constant(stack[0]).stack, symmetrized)
         return
-    for run in (integrate, integrate_stepwise):
-        with pytest.raises(IntegrationError, match=message):
-            run(gen, 0.0, 1e-4, 1100)
+    with pytest.raises(IntegrationError, match=message):
+        integrate_stepwise(gen, 0.0, 1e-4, 1100)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="constant coefficient 0 has non-finite entries"):
+        HessianPath.constant(stack[0])
 
 
 @pytest.mark.parametrize("kind, exponentials", [("constant", 1), ("fourier", 2048)])
@@ -590,7 +681,7 @@ def _step_defect(path) -> float:
     """max_i ||Psi_{i+1} - E_i Psi_i||_2 / ||Psi_i||_2 over the nodes of
     `path`, with E_i the step exponential of the loop (`integrate_stepwise`)."""
     J = standard_structure(path.dim // 2).J
-    e = symplectic_expm(_magnus_exponent(path.generator, J, path.times[:-1], path.grid_spacing))
+    e = symplectic_expm(magnus_exponent(path.generator, J, path.times[:-1], path.grid_spacing))
     psi = path.matrices
     step = np.linalg.norm(psi[1:] - e @ psi[:-1], 2, axis=(1, 2))
     return float((step / np.linalg.norm(psi[:-1], 2, axis=(1, 2))).max())
