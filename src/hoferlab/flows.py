@@ -127,7 +127,9 @@ class HessianPath:
       not-a-knot cubic spline fitted and evaluated entry by entry, so every
       S(t) is exactly symmetric (see `_spline_coefficients`).
 
-    Transforms map each matrix of the stack.  Built once at construction:
+    Transforms map each matrix of the stack.  Built once per generator, by
+    its kind's compiler at construction (`negated` reuses all of it, with
+    the stack and the planes negated):
 
     * the basis and the planes: S(t) = sum_j b_j(t) B_j, with b = 1 for a
       constant, (1, cos, sin) for Fourier, and (1, s, s^2, s^3),
@@ -138,9 +140,8 @@ class HessianPath:
       from which `integrate` and `evaluate` form every Magnus step
       exponent (`_step_exponents`) without calling the generator.  J B_j
       is a signed permutation of B_j, so the table keeps B_j and applies J
-      after the contraction; the negated generator shares the commutators.
-      The stack is checked (finite and symmetric) here, so no value needs
-      a check later;
+      after the contraction.  The stack is checked (finite and symmetric)
+      here, so no value needs a check later;
     * the definiteness tag, ``norm_bound`` and ``slope_bound``, which hold
       for every t in [0, 1] (see `_certified_spectrum`): a generator whose
       definiteness cannot be certified is tagged indefinite,
@@ -167,7 +168,8 @@ class HessianPath:
         self.dim = self.stack.shape[1]
         if self.dim < 2 or self.dim % 2 != 0:
             raise ValueError(f"phase-space dimension must be even and >= 2, got {self.dim}")
-        self._basis, self._planes, certificate = _COMPILERS[kind](self.stack, self.n_cos)
+        self._basis, self._planes, samples, slack, self.slope_bound = _COMPILERS[kind](
+            self.stack, self.n_cos)
         # The commutator terms (sqrt(3)/12) [J B_k, J B_j] of each interval's
         # planes, flattened, for the pairs (j, k) with j < k; -S(t) has the
         # same ones.
@@ -175,7 +177,6 @@ class HessianPath:
         self._pairs = j, k = np.triu_indices(lin.shape[1], 1)
         comm = _COMMUTATOR_WEIGHT * (lin[:, k] @ lin[:, j] - lin[:, j] @ lin[:, k])
         self._comm = comm.reshape(len(lin), len(j), self.dim**2)
-        samples, slack, self.slope_bound = certificate()
         self.definiteness, self.norm_bound = _certified_spectrum(samples, slack)
 
     # -- constructors --------------------------------------------------
@@ -202,17 +203,21 @@ class HessianPath:
         outside = ~((ts >= -_DOMAIN_SLACK) & (ts <= 1.0 + _DOMAIN_SLACK))  # NaN too
         if outside.any():
             raise ValueError(f"time {ts[outside][0]} outside the generator domain [0, 1]")
-        return _values(self._basis, self._planes, np.minimum(np.maximum(ts, 0.0), 1.0))
+        return _values(*self._basis(np.minimum(np.maximum(ts, 0.0), 1.0)), self._planes)
 
     def negated(self) -> "HessianPath":
         """The generator -S(t), e.g. to treat a minimizer as a maximizer of -H.
-        The bounds and the commutators of the step table hold as they are
-        and the definiteness swaps; only the basis and the planes are
-        compiled again, from the negated stack."""
+        The same compiled generator with its stack and planes negated: the
+        basis, the commutators of the step table and the bounds hold as they
+        are and the definiteness swaps.  A spline's constant plane is
+        re-based at +0.0 (`_spline_coefficients`), so the values are those
+        of the generator built from the negated stack, bit for bit."""
         neg = copy.copy(self)
         neg.stack = np.negative(self.stack)
         neg.stack.flags.writeable = False
-        neg._basis, neg._planes = _COMPILERS[self.kind](neg.stack, self.n_cos)[:2]
+        neg._planes = np.negative(self._planes)
+        if self.kind == "sampled":  # its values start at +0.0, as the fit's do
+            neg._planes[:, 0] = 0.0 - self._planes[:, 0]
         neg.definiteness = _NEGATED.get(self.definiteness, INDEFINITE)
         return neg
 
@@ -258,20 +263,20 @@ def _fourier_parts(stack: np.ndarray, n_cos: int):
     return stack[0], stack[1:1 + n_cos], stack[1 + n_cos:]
 
 
-# Each compiler returns three things:
+# Each compiler returns five things; `HessianPath.__init__` is its one caller:
 # * the basis t -> (i, b) for a float array t of any shape: the knot
 #   interval i (shape t.shape) and the basis values b (shape (P,) + t.shape),
 #   elementwise in t, so each S(t) is the same in any array shape;
-# * the planes, shape (intervals, P, d, d), so S(t) = sum_j b_j planes[i, j];
-# * a function that returns sample matrices S(t_i), a slack (scalar or one
-#   per sample) such that every t in [0, 1] has a sample with
-#   ||S(t) - S(t_i)||_2 <= slack_i, and a bound on ||S'(t)||_2 over [0, 1].
+# * the planes, shape (intervals, P, d, d), so S(t) = sum_j b_j planes[i, j]
+#   (`_values`, the one evaluator of S(t));
+# * sample matrices S(t_i), a slack (scalar or one per sample) such that
+#   every t in [0, 1] has a sample with ||S(t) - S(t_i)||_2 <= slack_i, and
+#   a bound on ||S'(t)||_2 over [0, 1].
 
 
-def _values(basis, planes: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """S(t) = sum_j b_j(t) planes[i(t), j], summed in stack order; the first
-    term is 1.0 B_0 = B_0 for every kind."""
-    i, b = basis(t)
+def _values(i: np.ndarray, b: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """S(t) = sum_j b_j(t) planes[i(t), j] from the basis (i, b) at times t,
+    summed in stack order; the first term is 1.0 B_0 = B_0 for every kind."""
     out = b[0, ..., None, None] * planes[i, 0]
     for j in range(1, planes.shape[1]):
         out += b[j, ..., None, None] * planes[i, j]
@@ -280,7 +285,7 @@ def _values(basis, planes: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _compile_constant(stack, n_cos):
     return (lambda t: (np.zeros(t.shape, dtype=np.intp), np.ones((1,) + t.shape)),
-            stack[None], lambda: (stack, 0.0, 0.0))
+            stack[None], stack, 0.0, 0.0)
 
 
 def _compile_fourier(stack, n_cos):
@@ -294,14 +299,11 @@ def _compile_fourier(stack, n_cos):
         return (np.zeros(t.shape, dtype=np.intp),
                 np.concatenate((np.cos(x[:1 + n_cos]), np.sin(x[1 + n_cos:]))))
 
-    def certificate():
-        # ||S'(t)||_2 <= L = 2 pi sum_k k (||A_k||_2 + ||B_k||_2), and every t
-        # is within half a grid step of a grid time.
-        lipschitz = 2.0 * math.pi * float(k[1:] @ np.linalg.norm(stack[1:], 2, axis=(1, 2)))
-        samples = _values(basis, stack[None], np.linspace(0.0, 1.0, _CLASSIFY_GRID))
-        return samples, lipschitz * 0.5 / (_CLASSIFY_GRID - 1), lipschitz
-
-    return basis, stack[None], certificate
+    # ||S'(t)||_2 <= L = 2 pi sum_k k (||A_k||_2 + ||B_k||_2), and every t is
+    # within half a grid step of a grid time.
+    lipschitz = 2.0 * math.pi * float(k[1:] @ np.linalg.norm(stack[1:], 2, axis=(1, 2)))
+    samples = _values(*basis(np.linspace(0.0, 1.0, _CLASSIFY_GRID)), stack[None])
+    return basis, stack[None], samples, lipschitz * 0.5 / (_CLASSIFY_GRID - 1), lipschitz
 
 
 def _slope_system(x: np.ndarray):
@@ -368,15 +370,12 @@ def _compile_sampled(stack, n_cos):
         ss = s * s
         return i, np.stack((np.ones_like(s), s, ss, ss * s))
 
-    def certificate():
-        # On knot interval i, S(t) - S(t_i) = sum_{j=1..3} c[j, i] (t - t_i)^j.
-        h = np.diff(x)
-        norms = np.linalg.norm(coef[1:], 2, axis=(-2, -1))
-        slack = norms[0] * h + norms[1] * h**2 + norms[2] * h**3
-        slope = norms[0] + 2.0 * norms[1] * h + 3.0 * norms[2] * h**2
-        return stack[:-1], slack, float(slope.max())
-
-    return basis, coef.swapaxes(0, 1), certificate
+    # On knot interval i, S(t) - S(t_i) = sum_{j=1..3} c[j, i] (t - t_i)^j.
+    h = np.diff(x)
+    norms = np.linalg.norm(coef[1:], 2, axis=(-2, -1))
+    slack = norms[0] * h + norms[1] * h**2 + norms[2] * h**3
+    slope = norms[0] + 2.0 * norms[1] * h + 3.0 * norms[2] * h**2
+    return basis, coef.swapaxes(0, 1), stack[:-1], slack, float(slope.max())
 
 
 _COMPILERS = {
@@ -688,8 +687,10 @@ def _step_exponents(generator: HessianPath, t0: np.ndarray, h: float) -> np.ndar
     permutation, is applied after the sum.  The steps of one interval form
     one matrix of weight rows (padded with zero rows to the longest), so a
     batched product contracts every interval at once.  A spline step whose
-    Gauss nodes lie in two knot intervals takes A_1 and A_2 from each
-    interval's planes and their commutator directly.  A constant
+    Gauss nodes lie in two knot intervals takes A_1 = J S(g1) and
+    A_2 = J S(g2) from `_values`, the table's one evaluator of S(t), and
+    their commutator directly, as `tests/oracles.magnus_exponent` forms
+    them from generator values, bit for bit.  A constant
     generator's exponent is h J S bit for bit: its one weight is exactly h.
     """
     i, b = generator._basis(np.add.outer(h * _GAUSS_OFFSETS, t0))
@@ -708,9 +709,7 @@ def _step_exponents(generator: HessianPath, t0: np.ndarray, h: float) -> np.ndar
     out = (J @ lin + comm)[group, row]
     cut = np.flatnonzero(i[0] != i[1])
     if len(cut):
-        # sum_j b_j B_j at both Gauss nodes of each step, each on its own interval.
-        a = b[:, :, cut].T[..., None, :] @ planes[i[:, cut].T]
-        a1, a2 = (J @ a.reshape(-1, 2, d, d)).swapaxes(0, 1)
+        a1, a2 = J @ _values(i[:, cut], b[:, :, cut], generator._planes)
         out[cut] = 0.5 * h * (a1 + a2) + (_COMMUTATOR_WEIGHT * h * h) * (a2 @ a1 - a1 @ a2)
     return out
 

@@ -524,14 +524,20 @@ def _table_case(case: str, dim: int, rng) -> tuple[HessianPath, int]:
     }[case]()
 
 
-def _straddling_steps(gen: HessianPath, starts, h) -> int:
-    """Steps whose two Gauss nodes lie in different knot intervals."""
+def _straddling(gen: HessianPath, starts, h) -> np.ndarray:
+    """Indices of the steps whose two Gauss nodes lie in different knot
+    intervals."""
     if gen.kind != "sampled":
-        return 0
+        return np.zeros(0, dtype=int)
     inner = np.linspace(0.0, 1.0, len(gen.stack))[1:-1]
     nodes = np.add.outer(starts, h * (0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0))
     i = np.searchsorted(inner, nodes, "right")
-    return int(np.count_nonzero(i[:, 0] != i[:, 1]))
+    return np.flatnonzero(i[:, 0] != i[:, 1])
+
+
+def _straddling_steps(gen: HessianPath, starts, h) -> int:
+    """How many steps have their two Gauss nodes in different knot intervals."""
+    return len(_straddling(gen, starts, h))
 
 
 @pytest.mark.parametrize("negate", [False, True], ids=["plain", "negated"])
@@ -562,6 +568,53 @@ def test_step_table_matches_value_exponents(dim, case, negate, rng):
         one = hoferlab.flows._step_exponents(gen, np.array([t0]), s)[0]
         ref = magnus_exponent(gen, J, t0, s)
         assert np.abs(one - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("negate", [False, True], ids=["plain", "negated"])
+@pytest.mark.parametrize("knots", [10, 65])
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_straddling_steps_match_value_exponents_bit_for_bit(dim, knots, negate, rng):
+    # A step whose Gauss nodes lie in two knot intervals is formed from the
+    # generator's values at both nodes, as the reference forms every step.
+    gen = HessianPath.sampled(random_negdef_fourier(dim, rng)(np.linspace(0.0, 1.0, knots)))
+    if negate:
+        gen = gen.negated()
+    J = standard_structure(dim // 2).J
+    for steps in (37, 1000, 1100):
+        starts = np.linspace(0.0, 1.0, steps + 1)[:-1]
+        h = 1.0 / steps
+        cut = _straddling(gen, starts, h)
+        assert len(cut) > 0
+        table = hoferlab.flows._step_exponents(gen, starts, h)[cut]
+        values = magnus_exponent(gen, J, starts[cut], h)
+        assert np.array_equal(table.view(np.int64), values.view(np.int64))
+
+
+@pytest.mark.parametrize("case", ["constant", "fourier", "spline_257_aligned",
+                                  "spline_10_straddling", "direct_sum_2049", "direct_sum_fourier"])
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_negated_reuses_the_compiled_generator(dim, case, rng, monkeypatch):
+    # `negated` compiles nothing, yet its values (zero signs included), nodes,
+    # bounds and tag are those of the generator built from the negated stack;
+    # the direct sums hold zero blocks.
+    if case == "direct_sum_fourier":
+        gen, steps = direct_sum(random_negdef_fourier(dim, rng), constant_planar(2.0)), 512
+    else:
+        gen, steps = _table_case(case, dim, rng)
+    calls = []
+    for kind, compile_ in list(hoferlab.flows._COMPILERS.items()):
+        monkeypatch.setitem(hoferlab.flows._COMPILERS, kind,
+                            lambda *args, c=compile_: calls.append(args) or c(*args))
+    neg = gen.negated()
+    assert calls == []
+    rebuilt = HessianPath(gen.kind, -gen.stack, gen.n_cos)
+    assert len(calls) == 1
+    t = np.concatenate((rng.uniform(0.0, 1.0, 500), np.linspace(0.0, 1.0, 2 * len(gen.stack) - 1)))
+    assert np.array_equal(neg(t).view(np.int64), rebuilt(t).view(np.int64))
+    assert (neg.norm_bound, neg.slope_bound, neg.definiteness) == (
+        rebuilt.norm_bound, rebuilt.slope_bound, rebuilt.definiteness)
+    assert (integrate(neg, 0.0, 1.0, steps).matrices.tobytes()
+            == integrate(rebuilt, 0.0, 1.0, steps).matrices.tobytes())
 
 
 @pytest.mark.parametrize("case", ["fourier", "constant", "spline_257_aligned",
