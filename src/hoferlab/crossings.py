@@ -18,9 +18,11 @@ index", 1994).  Both algorithms read W.
   For a definite generator each crossing is a transversal, one-way sign
   change of eigenangles (Arnold, "Sturm theorems and symplectic geometry",
   1985), so in the other intervals the angles that change sign, matched by
-  their order, are root-found with a port of Brent's zero (`_locate`), and
-  a kernel threshold (1e-7 relative) gives each root its multiplicity and
-  crossing form.  The multiplicities found must add up to the spectral flow.
+  their order, are root-found with a port of Brent's zero, all of a scan's
+  root-finds in lockstep (`_roots`), and a kernel threshold (1e-7
+  relative) gives each root its multiplicity and crossing form
+  (`_crossings_at`).  The multiplicities found must add up to the
+  spectral flow.
 """
 
 from __future__ import annotations
@@ -127,24 +129,22 @@ def crossing_form(s_at_tau: np.ndarray, kernel_basis: np.ndarray) -> tuple[int, 
     return (p, q)
 
 
-def _crossing_at(path: SymplecticPath, tau: float,
-                 psi: np.ndarray | None = None) -> Crossing | None:
-    psi = evaluate(path, tau) if psi is None else psi
-    diff = psi - np.eye(path.dim)
-    u, s, vh = np.linalg.svd(diff)
-    scale = float(np.linalg.norm(psi, 2))
-    mask = s < KERNEL_RATIO * scale
-    mult = int(mask.sum())
-    if mult == 0:
-        return None
-    basis = vh[mask].T
-    p, q = crossing_form(path.generator(tau), basis)
-    return Crossing(time=float(tau), multiplicity=mult, kernel_basis=basis,
-                    signature=(p, q), regular=(p + q == mult))
-
-
-def _sigma_min(psi: np.ndarray) -> float:
-    return float(np.linalg.svd(psi - np.eye(len(psi)), compute_uv=False)[-1])
+def _crossings_at(path: SymplecticPath, taus: list, psis) -> list:
+    """The crossing, or None, at each time of ``taus``, given Psi there: the
+    kernel of Psi - I is spanned by the right singular vectors whose
+    singular values lie below `KERNEL_RATIO` ||Psi||_2, and the crossing form
+    is read on it.  One SVD stack, one norm stack and one generator call
+    serve every time."""
+    if not taus:
+        return []
+    _u, s, vh = np.linalg.svd(psis - np.eye(path.dim))
+    masks = s < KERNEL_RATIO * np.linalg.norm(psis, 2, axis=(1, 2))[:, None]
+    found, forms = [None] * len(taus), path.generator(np.array(taus, dtype=float))
+    for r in np.flatnonzero(masks.any(axis=1)).tolist():
+        p, q = crossing_form(forms[r], basis := vh[r][masks[r]].T)
+        found[r] = Crossing(time=float(taus[r]), multiplicity=len(basis.T), kernel_basis=basis,
+                            signature=(p, q), regular=(p + q == len(basis.T)))
+    return found
 
 
 def _spectra(psis: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -167,17 +167,13 @@ def _lifted(path: SymplecticPath, window, times: np.ndarray):
     `flows.phase_window`.  Each phase is one principal step from the lifted
     sample at or before its time: coarse sample k // stride for a time in
     sample interval k or, in a step the lift cut, the last sub-step at or
-    before the time.  Psi is read from the window ends and the nodes, and
-    evaluated at other times."""
-    ts, base, stride, ends, lift, subs = window
-    k = np.searchsorted(ts, times, "right") - 1
-    ref, psis = lift[k // stride], []
-    for r, (i, t) in enumerate(zip(k.tolist(), times.tolist())):
-        psis.append(ends[0] if t == ts[0] else ends[1] if t == ts[-1]
-                    else path.matrices[base + i] if t == ts[i] else evaluate(path, t))
-        if i in subs and (j := int(np.searchsorted(subs[i][0], t, "right"))):
+    before the time.  Psi comes from one `evaluate` call."""
+    ts, _base, stride, _ends, lift, subs = window
+    ref = lift[(k := np.searchsorted(ts, times, "right") - 1) // stride]
+    for r, i in enumerate(k.tolist()):
+        if i in subs and (j := int(np.searchsorted(subs[i][0], times[r], "right"))):
             ref[r] = subs[i][2][j - 1]
-    psis = np.stack(psis)
+    psis = evaluate(path, times)
     return psis, ref + _principal(graph_phase(psis) - ref)
 
 
@@ -189,7 +185,7 @@ def _counts(theta: np.ndarray, whole: np.ndarray, psis: np.ndarray):
     2 sum_j (#{k: 2 pi k < phi_j} + #{k: 2 pi k = phi_j} / 2) up to one
     constant, i.e. 2 ((Phi - sum_j theta_j) / 2 pi + #{theta_j > 0})
     + #kernel with theta_j the principal eigenangles.  The kernel is the k
-    angles nearest 0 (the mask), with k by `_crossing_at`'s rule.  The
+    angles nearest 0 (the mask), with k by `_crossings_at`'s rule.  The
     spectral flow from s to t is count(s) - count(t).
     """
     sigma = np.linalg.svd(psis - np.eye(psis.shape[-1]), compute_uv=False)
@@ -236,13 +232,14 @@ def _span_norm(norm, bound, steps):
     return norm * (growth + taylor + _ROUNDING * growth) ** (steps - 1)
 
 
-def _brent_zero(f, xa: float, xb: float, fa: float, fb: float) -> float:
-    """A zero of ``f`` between xa and xb, given fa = f(xa) and fb = f(xb) of
-    opposite signs.
+def _brent_zero(xa: float, xb: float, fa: float, fb: float):
+    """A zero between xa and xb of a function f, given fa = f(xa) and
+    fb = f(xb) of opposite signs, as a coroutine: it yields each x where it
+    needs f, is sent f(x), and returns the zero (``StopIteration.value``).
 
     A port of `brentq` from scipy 1.17 (Zeros/brentq.c, BSD-3-Clause;
     R. P. Brent, "Algorithms for Minimization without Derivatives", 1973)
-    with its expressions in its order: it calls f at the same points and
+    with its expressions in its order: it asks for f at the same points and
     returns the same x as `brentq(f, xa, xb, xtol=1e-13)`, whose call count
     includes fa and fb.  After 100 iterations it returns the last iterate,
     as `brentq` does with ``disp=False``.
@@ -278,44 +275,58 @@ def _brent_zero(f, xa: float, xb: float, fa: float, fb: float) -> float:
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
+        fcur = yield xcur
     return xcur
 
 
-def _locate(path: SymplecticPath, lo: tuple, hi: tuple) -> list[Crossing]:
-    """Crossings where eigenangles change sign between two samples (t, Psi,
-    sorted angles, whole turns, kernel marks) under a quarter turn apart.
+def _roots(path: SymplecticPath, intervals: list) -> list[list[Crossing]]:
+    """Crossings where eigenangles change sign between consecutive samples
+    (t, Psi, sorted angles, whole turns, kernel marks) under a quarter turn
+    apart, one list per interval of ``intervals``, each a list of samples.
 
     Ranks map across by the turns (an angle passing pi moves from the top
-    rank to the bottom); marked angles belong to an endpoint crossing.  An
-    angle <= 0 at one end and > 0 at the other is root-found on its rank,
-    nearest 0 first, and a root of multiplicity m accounts for m of them.
+    rank to the bottom); marked angles belong to an endpoint crossing.  The
+    angles <= 0 at one sample and > 0 at the next form a group per
+    direction.  A group is root-found on its ranks in turn, nearest 0 first,
+    and a root of multiplicity m accounts for m of them, so the next m - 1
+    are never root-found.  The root-finds of all groups run in lockstep,
+    each its own `_brent_zero`: one `evaluate` and one `graph_angles` per
+    iteration serve every live one, and the roots that end in an iteration
+    are classified together (`_crossings_at`, on the Psi of an iterate).
     """
-    (t0, psi0, th0, w0, m0), (t1, psi1, th1, w1, m1) = lo, hi
-    d, total0, seen = len(th0), float(th0.sum()), {t0: psi0, t1: psi1}
-
-    def angle(t, rank):
-        psi = seen[t] = evaluate(path, t)
-        theta = np.sort(graph_angles(psi - np.eye(d)))
-        moved = float(theta.sum()) - total0
-        rank += round((math.remainder(moved, 2.0 * math.pi) - moved) / (2.0 * math.pi))
-        return float(theta[min(max(rank, 0), d - 1)])
-
-    pairs = [(i, i + int(w1 - w0)) for i in range(d)]
-    pairs = [(i, j) for i, j in pairs if 0 <= j < d and not (m0[i] or m1[j])]
-    found = []
-    for group in ([p for p in pairs[::-1] if th0[p[0]] <= 0.0 < th1[p[1]]],
-                  [p for p in pairs if th1[p[1]] <= 0.0 < th0[p[0]]]):
-        used = 0
-        for i, j in group:
-            if used:
-                used -= 1
-                continue
-            tau = _brent_zero(lambda t, i=i: angle(t, i), t0, t1, th0[i], th1[j])
-            if (c := _crossing_at(path, tau, seen.get(tau))) is not None:
-                found.append(c)
-                used = c.multiplicity - 1
-    return found
+    d, eye, seen, groups = path.dim, np.eye(path.dim), {}, []
+    for n, samples in enumerate(intervals):
+        for (t0, psi0, th0, w0, m0), (t1, psi1, th1, w1, m1) in zip(samples, samples[1:]):
+            seen[t0], seen[t1] = psi0, psi1
+            pairs = [(i, i + int(w1 - w0)) for i in range(d)]
+            pairs = [(i, j) for i, j in pairs if 0 <= j < d and not (m0[i] or m1[j])]
+            # [interval, (rank, Brent bracket) per sign change, next, crossings, sum th0]
+            groups += [[n, [(i, (t0, t1, th0[i], th1[j])) for i, j in group], 0, [],
+                        float(th0.sum())]
+                       for group in ([p for p in pairs[::-1] if th0[p[0]] <= 0.0 < th1[p[1]]],
+                                     [p for p in pairs if th1[p[1]] <= 0.0 < th0[p[0]]]) if group]
+    pending, done = [(g, _brent_zero(*g[1][0][1]), None) for g in groups], []
+    while pending or done:
+        taus = [tau for _g, tau in done]
+        for (g, _tau), c in zip(done, _crossings_at(path, taus, [seen[tau] for tau in taus])):
+            g[3].append(c)
+            g[2] += c.multiplicity if c is not None else 1  # the sign changes it accounts for
+            if g[2] < len(g[1]):
+                pending.append((g, _brent_zero(*g[1][g[2]][1]), None))
+        asks, done, sends, pending = [], [], pending, []
+        for g, root, f in sends:
+            try:
+                asks.append((g, root, root.send(f)))
+            except StopIteration as stop:
+                done.append((g, stop.value))
+        if asks:
+            psis = evaluate(path, [x for _g, _root, x in asks])
+            theta = np.sort(graph_angles(psis - eye), axis=1)
+            for (g, root, x), psi, th, total in zip(asks, psis, theta, theta.sum(axis=1)):
+                seen[x], moved = psi, float(total) - g[4]
+                turns = round((math.remainder(moved, 2.0 * math.pi) - moved) / (2.0 * math.pi))
+                pending.append((g, root, float(th[min(max(g[1][g[2]][0] + turns, 0), d - 1)])))
+    return [[c for g in groups if g[0] == n for c in g[3] if c] for n in range(len(intervals))]
 
 
 def _bisect(path: SymplecticPath, runs: list, lo: float, hi: float, s_lo: float,
@@ -326,26 +337,27 @@ def _bisect(path: SymplecticPath, runs: list, lo: float, hi: float, s_lo: float,
     Pieces are halved until `_certified`, with the rounding floor, clears
     them or they are narrower than 2 TIME_TOL, so that the middle of a
     narrow piece is within TIME_TOL of all of it.  Adjacent narrow pieces
-    join into one run, across node boundaries too.
+    join into one run, across node boundaries too.  Each level is one
+    array of pieces, and the middles of its pieces take one `evaluate`.
     """
-    live = [(lo, hi, s_lo, s_hi)]
-    while live:
-        if len(live) > _BISECT_PIECES:
+    pieces = np.array([[lo, hi, s_lo, s_hi]])
+    while len(pieces):
+        if len(pieces) > _BISECT_PIECES:
             raise CrossingResolutionError(
-                f"bisection keeps {len(live)} pieces of [{lo:.6f}, {hi:.6f}] open; refine steps")
-        split = []
-        for left, right, s_left, s_right in live:
-            if _certified(s_left, s_right, right - left, norm, bound, _ROUNDING):
-                continue
-            if right - left >= 2.0 * TIME_TOL:
-                mid = 0.5 * (left + right)
-                s_mid = _sigma_min(evaluate(path, mid))
-                split += [(left, mid, s_left, s_mid), (mid, right, s_mid, s_right)]
-            elif runs and runs[-1][1] == left:
-                runs[-1][1] = right
+                f"bisection keeps {len(pieces)} pieces of [{lo:.6f}, {hi:.6f}] open; refine steps")
+        left, right, s_left, s_right = pieces.T
+        keep = ~_certified(s_left, s_right, right - left, norm, bound, _ROUNDING)
+        wide = keep & (right - left >= 2.0 * TIME_TOL)
+        for start, stop in pieces[keep & ~wide, :2].tolist():
+            if runs and runs[-1][1] == start:
+                runs[-1][1] = stop
             else:
-                runs.append([left, right])
-        live = split
+                runs.append([start, stop])
+        mid = 0.5 * (left + right)[wide]
+        s_mid = np.linalg.svd(evaluate(path, mid) - np.eye(path.dim), compute_uv=False)[:, -1]
+        # Each wide piece becomes its two halves, in order.
+        pieces = np.stack((left[wide], mid, s_left[wide], s_mid, mid, right[wide], s_mid,
+                           s_right[wide]), axis=1).reshape(-1, 4)
 
 
 def _open_intervals(path: SymplecticPath, ts: np.ndarray, base: int, stride: int,
@@ -381,35 +393,28 @@ def _open_intervals(path: SymplecticPath, ts: np.ndarray, base: int, stride: int
     return np.sort(np.concatenate(leaves)), sigma, norms
 
 
-def _halves(crossings: list[Crossing], a: float, b: float) -> int:
-    """Multiplicity sum in half-units; crossings at a or b count half."""
-    return sum(c.multiplicity * (1 if min(c.time - a, b - c.time) <= ENDPOINT_TOL else 2)
-               for c in crossings)
-
-
 def _scan_closed(path: SymplecticPath, a: float, b: float, window=None) -> list[Crossing]:
     """All crossings with tau in [a, b] (up to endpoint tolerance), sorted,
     lifted on ``window``, a `flows.phase_window` over [a, b] (None: built here).
 
-    A window end where Psi has a kernel by `_crossing_at`'s rule is a
+    A window end where Psi has a kernel by `_crossings_at`'s rule is a
     crossing at the end itself, so the list starts with the identity when a
-    is the path's start.  Node intervals that `_certified` does not clear go
-    to `_locate`, on the sub-steps where `phase_window` cuts a step.  For an
-    indefinite generator, opposite passages can cancel, so an interval with
-    no sign change is bisected (`_bisect`) when, at both ends, unmarked
-    angles lie on both sides of 0 within the reach of one step (each angle
-    moves at most dim * norm_bound per unit time).  The located
-    multiplicities must equal the spectral flow of the phase over [a, b]
-    (for an indefinite generator, reach it), and crossings closer than one
-    grid step raise.
+    is the path's start.  Psi, the lifted phase and the spectra at the ends
+    of every node interval that `_certified` does not clear come from one
+    `_lifted` call; the intervals, with the sub-steps where `phase_window`
+    cuts a step, go to `_roots` together, whose root-finds run in lockstep
+    on one `evaluate` per iteration.  For an indefinite generator, opposite
+    passages can cancel, so an interval with no sign change is bisected
+    (`_bisect`) when, at both ends, unmarked angles lie on both sides of 0
+    within the reach of one step (each angle moves at most dim * norm_bound
+    per unit time).  The located multiplicities must equal the spectral
+    flow of the phase over [a, b] (for an indefinite generator, reach it),
+    and crossings closer than one grid step raise.
     """
-    h = path.grid_spacing
     window = phase_window(path, a, b) if window is None else window
-    ts, base, stride, _ends, _lift, subs = window
-    last = len(ts) - 1
-    ends, end_phases = _lifted(path, window, ts[[0, last]])
-    count, kernel, end_marks, end_sigma = _counts(*_spectra(ends, end_phases), ends)
-    bound = interpolant_bound(path)
+    ts, base, stride, ends, _lift, subs = window
+    last, bound, h = len(ts) - 1, interpolant_bound(path), path.grid_spacing
+    end_sigma = np.linalg.svd(ends - np.eye(path.dim), compute_uv=False)[:, -1]
     open_, sigma, norms = _open_intervals(path, ts, base, stride, end_sigma, bound)
 
     # Both ends of each open interval and the window ends.
@@ -417,28 +422,29 @@ def _scan_closed(path: SymplecticPath, a: float, b: float, window=None) -> list[
                                        minlength=last + 1))
     psis, phases = _lifted(path, window, ts[picks])
     theta, whole = _spectra(psis, phases)
-    marks = np.zeros(theta.shape, dtype=bool)
-    marks[[0, -1]] = end_marks
-    row = {k: r for r, k in enumerate(picks.tolist())}
+    marks = np.zeros(theta.shape, dtype=bool)  # the kernel angles at the window ends
+    count, kernel, marks[[0, -1]], _sigma = _counts(theta[[0, -1]], whole[[0, -1]], psis[[0, -1]])
+    sample = dict(zip(picks.tolist(), zip(ts[picks], psis, theta, whole, marks)))
 
-    crossings = [_crossing_at(path, t, psi) for t, psi, k in zip((a, b), ends, kernel) if k]
-    definite, runs = path.generator.definiteness != INDEFINITE, []
+    at_end = kernel > 0
+    crossings = _crossings_at(path, np.array([a, b])[at_end].tolist(), psis[[0, -1]][at_end])
+    definite, runs, intervals = path.generator.definiteness != INDEFINITE, [], []
     for k in open_.tolist():
-        samples = [(ts[j], psis[row[j]], theta[row[j]], whole[row[j]], marks[row[j]])
-                   for j in (k, k + 1)]
-        if k in subs:
+        samples = [sample[k], sample[k + 1]]
+        if k in subs:  # the sub-steps, no angle of them marked
             times, sub_psis, sub_phase = subs[k]
-            sub_theta, sub_whole = _spectra(sub_psis, sub_phase)
-            unmarked = np.zeros(sub_theta.shape, dtype=bool)
-            samples[1:1] = zip(times, sub_psis, sub_theta, sub_whole, unmarked)
-        located = [c for lo, hi in zip(samples, samples[1:]) for c in _locate(path, lo, hi)]
+            samples[1:1] = zip(times, sub_psis, *_spectra(sub_psis, sub_phase),
+                               np.zeros((len(times), path.dim), dtype=bool))
+        intervals.append(samples)
+    for k, samples, located in zip(open_.tolist(), intervals, _roots(path, intervals)):
         reach = path.dim * path.generator.norm_bound * (ts[k + 1] - ts[k])
         near = [s[2][~s[4] & (np.abs(s[2]) <= reach)] for s in (samples[0], samples[-1])]
         if not (located or definite) and all((v <= 0).any() and (v >= 0).any() for v in near):
             _bisect(path, runs, ts[k], ts[k + 1], sigma[k], sigma[k + 1], norms[k], bound)
         crossings += located
-    # `_crossing_at` decides at the middle of each run of bisection pieces.
-    crossings += [c for lo, hi in runs if (c := _crossing_at(path, 0.5 * (lo + hi))) is not None]
+    # `_crossings_at` decides at the middle of each run of bisection pieces.
+    mids = [0.5 * (lo + hi) for lo, hi in runs]
+    crossings += [c for c in _crossings_at(path, mids, evaluate(path, mids)) if c is not None]
     crossings.sort(key=lambda c: c.time)
     # Roots closer than TIME_TOL are one crossing: the angles of a multiple
     # eigenvalue at a sample can straddle 0 by rounding, and then one of
@@ -446,7 +452,10 @@ def _scan_closed(path: SymplecticPath, a: float, b: float, window=None) -> list[
     crossings = [c for c, prev in zip(crossings, [None, *crossings])
                  if prev is None or c.time - prev.time > TIME_TOL]
 
-    flow, found = abs(int(count[1] - count[0])), _halves(crossings, a, b)
+    # The multiplicities in half-units; crossings at a or b count half.
+    found = sum(c.multiplicity * (1 if min(c.time - a, b - c.time) <= ENDPOINT_TOL else 2)
+                for c in crossings)
+    flow = abs(int(count[-1] - count[0]))
     if found < flow or (definite and found != flow):
         raise CrossingResolutionError(
             f"the scan locates {found} half-units of crossings where the graph phase "

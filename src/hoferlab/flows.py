@@ -73,6 +73,13 @@ _BLOCK_STEPS = 512
 _CHUNK_STEPS = 16
 # Times this far outside a path's or generator's domain still count as inside.
 _DOMAIN_SLACK = 1e-12
+# `evaluate` returns the stored node for a time this close to it (pinned by
+# tests/test_flows.py::test_array_evaluate_equals_scalar_calls_bit_for_bit).
+_NODE_SNAP = 1e-13
+# `phase_window` samples only the nodes further than this inside (a, b), so
+# no sample interval is shorter (pinned by
+# tests/test_flows.py::test_phase_window_drops_nodes_next_to_its_ends).
+_WINDOW_SNAP = 1e-14
 
 
 def _require_symmetric(m: np.ndarray, what: str) -> np.ndarray:
@@ -538,22 +545,9 @@ def _node_sigma_bounds(psis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.sqrt(lam[:, -1] + slack))
 
 
-def _graph_frame(diff: np.ndarray) -> np.ndarray:
-    """Complex frame Z = (Psi + I) + i J (Psi - I) of the graph of Psi, from
-    diff = Psi - I (one matrix or a stack).
-
-    The columns of (Psi + I, J (Psi - I)) span a Lagrangian, so Z is
-    invertible and W = conj(Z)^{-1} Z is unitary, with det W =
-    exp(2 i arg det Z) and W v = v exactly when (Psi - I) v = 0.
-    """
-    z = 1j * (standard_structure(diff.shape[-1] // 2).J @ diff)
-    z += diff + 2.0 * np.eye(diff.shape[-1])
-    return z
-
-
 def graph_phase(psi: np.ndarray) -> np.ndarray:
     """The graph phase 2 arg det Z, i.e. the eigenangle sum of W mod 2 pi,
-    of Psi (one matrix or a stack); see `_graph_frame`.
+    of Psi (one matrix or a stack); see `graph_angles`.
 
     Z = 2 (P_+ Psi + P_-) with P_+- = (I +- iJ) / 2 the projections onto the
     +-1 eigenspaces of iJ.  In a unitary eigenbasis of iJ, Z is block upper
@@ -572,8 +566,15 @@ def graph_phase(psi: np.ndarray) -> np.ndarray:
 
 def graph_angles(diff: np.ndarray) -> np.ndarray:
     """Principal eigenangles of W = conj(Z)^{-1} Z, one row per matrix of
-    the stack diff = Psi - I; they pass 0 exactly where Psi has eigenvalue 1."""
-    z = _graph_frame(diff)
+    the stack diff = Psi - I; they pass 0 exactly where Psi has eigenvalue 1.
+
+    Z = (Psi + I) + i J (Psi - I) is the complex frame of the graph of Psi:
+    the columns of (Psi + I, J (Psi - I)) span a Lagrangian, so Z is
+    invertible and W is unitary, with det W = exp(2 i arg det Z) and
+    W v = v exactly when (Psi - I) v = 0.
+    """
+    z = 1j * (standard_structure(diff.shape[-1] // 2).J @ diff)
+    z += diff + 2.0 * np.eye(diff.shape[-1])
     return np.angle(np.linalg.eigvals(np.linalg.solve(z.conj(), z)))
 
 
@@ -594,45 +595,47 @@ def phase_window(path: SymplecticPath, a: float, b: float):
     which this bound, with ``norm_bound``, stays under a quarter turn, so no
     principal difference aliases, and sample k is one principal step from
     coarse sample k // stride.  At stride 1 a step where the bound reaches a
-    quarter turn is cut into sub-steps by `evaluate`; the sub-steps map each
-    cut step i to the inner times, their Psi and their lifted phases.
+    quarter turn is cut into sub-steps; the sub-steps map each cut step i to
+    the inner times, their Psi and their lifted phases.  Psi at both ends
+    and at every sub-step comes from one `evaluate` call.
     """
-    first = int(np.searchsorted(path.times, a + 1e-14, "right"))
-    stop = int(np.searchsorted(path.times, b - 1e-14, "left"))
+    first = int(np.searchsorted(path.times, a + _WINDOW_SNAP, "right"))
+    stop = int(np.searchsorted(path.times, b - _WINDOW_SNAP, "left"))
     ts = np.concatenate(([a], path.times[first:stop], [b]))
     rate, step = path.dim * path.generator.norm_bound, float(np.diff(ts).max())
     stride = 1
     while 2 * stride < len(ts) and rate * 2 * stride * step < _QUARTER_TURN:
         stride *= 2
     coarse = np.append(np.arange(0, len(ts) - 1, stride), len(ts) - 1)
-    ends = np.stack((evaluate(path, a), evaluate(path, b)))
-    end_phase = graph_phase(ends)
-    raw = np.concatenate((end_phase[:1], graph_phase(path.matrices[first - 1 + coarse[1:-1]]),
-                          end_phase[1:]))
     tc = ts[coarse]
     parts = np.floor(rate * np.diff(tc) / _QUARTER_TURN) if stride == 1 else np.zeros(len(tc) - 1)
     if parts.max() >= _PHASE_SUBSTEPS_MAX:
         raise CrossingResolutionError(
             f"the graph phase may move by {parts.max():.0f} quarter turns in one grid "
             f"step; refine steps")
+    inner = {i: np.linspace(tc[i], tc[i + 1], int(parts[i]) + 2)[1:-1]
+             for i in np.flatnonzero(parts).tolist()}
+    # Psi and the phase at both ends and at every sub-step, in one call each.
+    psis = evaluate(path, np.concatenate(([a, b], *inner.values())))
+    phases = graph_phase(psis)
+    raw = np.concatenate((phases[:1], graph_phase(path.matrices[first - 1 + coarse[1:-1]]),
+                          phases[1:2]))
     steps = _principal(np.diff(raw))
     worst = np.abs(steps[parts == 0]).max(initial=0.0)
-    subs = {}
-    for i in np.flatnonzero(parts):
-        times = np.linspace(tc[i], tc[i + 1], int(parts[i]) + 2)[1:-1]
-        psis = np.stack([evaluate(path, t) for t in times])
-        moves = _principal(np.diff(np.concatenate(
-            (raw[i:i + 1], graph_phase(psis), raw[i + 1:i + 2]))))
+    subs, at = {}, 2
+    for i, times in inner.items():
+        span = slice(at, at := at + len(times))
+        moves = _principal(np.diff(np.concatenate((raw[i:i + 1], phases[span], raw[i + 1:i + 2]))))
         worst = max(worst, np.abs(moves).max())
         steps[i] = moves.sum()
-        subs[int(i)] = (times, psis, np.cumsum(moves[:-1]))
+        subs[i] = (times, psis[span], np.cumsum(moves[:-1]))
     if worst >= _QUARTER_TURN:
         raise CrossingResolutionError(
             f"graph phase moves by {worst:.3f} rad in one sample step (limit pi/2); "
             f"refine steps")
     lift = raw[0] + np.concatenate(([0.0], np.cumsum(steps)))
     subs = {i: (t, p, lift[i] + m) for i, (t, p, m) in subs.items()}
-    return ts, first - 1, stride, ends, lift, subs
+    return ts, first - 1, stride, psis[:2], lift, subs
 
 
 def interpolant_bound(path: SymplecticPath) -> tuple[float, float, float]:
@@ -673,44 +676,53 @@ def interpolant_bound(path: SymplecticPath) -> tuple[float, float, float]:
     return rate * growth, growth, w**9 * growth / (math.factorial(9) * (1.0 - 0.1 * w))
 
 
-def _step_exponents(generator: HessianPath, t0: np.ndarray, h: float) -> np.ndarray:
+def _step_exponents(generator: HessianPath, t0: np.ndarray, h) -> np.ndarray:
     """Magnus exponents (h/2)(A_1 + A_2) + (sqrt(3)/12) h^2 [A_2, A_1],
     A_k = J S(t0 + c_k h), of the steps [t0, t0 + h], as an (m, d, d) stack
-    for an ascending 1-D array t0, read from the generator's step table:
-    the planes B_j and the commutator terms (sqrt(3)/12) [J B_k, J B_j]
-    (j < k).
+    for a 1-D array t0 and ``h`` one step length (`integrate`; t0 ascending)
+    or an array of one per step (`evaluate`), read from the generator's
+    step table: the planes B_j and the commutator terms
+    (sqrt(3)/12) [J B_k, J B_j] (j < k).
 
     With the basis values b at the two Gauss nodes, A_1 + A_2 =
     J sum_j (b_j(g1) + b_j(g2)) B_j and [A_2, A_1] = sum_{j < k}
     (b_k(g2) b_j(g1) - b_j(g2) b_k(g1)) [J B_k, J B_j], so one weight row
     per step contracts with its knot interval's table; J, a signed
-    permutation, is applied after the sum.  The steps of one interval form
-    one matrix of weight rows (padded with zero rows to the longest), so a
-    batched product contracts every interval at once.  A spline step whose
-    Gauss nodes lie in two knot intervals takes A_1 = J S(g1) and
-    A_2 = J S(g2) from `_values`, the table's one evaluator of S(t), and
-    their commutator directly, as `tests/oracles.magnus_exponent` forms
-    them from generator values, bit for bit.  A constant
-    generator's exponent is h J S bit for bit: its one weight is exactly h.
+    permutation, is applied after the sum.  Steps of one length form one
+    matrix of weight rows per knot interval (padded with zero rows to the
+    longest, which needs t0 ascending), so a batched product contracts
+    every interval at once.  Steps of their own lengths are contracted row
+    by row, so each exponent has the same bits whatever other steps share
+    the call (a matrix product of several rows may round differently from
+    one of a single row).  A spline step whose Gauss nodes lie in two knot
+    intervals takes A_1 = J S(g1) and A_2 = J S(g2) from `_values`, the
+    table's one evaluator of S(t), and their commutator directly, as
+    `tests/oracles.magnus_exponent` forms them from generator values, bit
+    for bit.  A constant generator's exponent is h J S bit for bit: its one
+    weight is exactly h.
     """
-    i, b = generator._basis(np.add.outer(h * _GAUSS_OFFSETS, t0))
+    i, b = generator._basis(_GAUSS_OFFSETS[:, None] * h + t0)
     (j, k), p, d = generator._pairs, len(b), generator.dim
     J = standard_structure(d // 2).J
     b1, b2 = b[:, 0], b[:, 1]
     w = np.concatenate((0.5 * h * (b1 + b2), h * h * (b2[k] * b1[j] - b2[j] * b1[k])))
-    group = i[0] - i[0, 0]
-    row = np.arange(len(group)) - np.searchsorted(group, group)
-    padded = np.zeros((group[-1] + 1, row.max() + 1, len(w)))
-    padded[group, row] = w.T
+    if np.ndim(h):  # a row per step, contracted with its own interval's table
+        group, row, tables, padded = slice(None), 0, i[0], np.ascontiguousarray(w.T)[:, None]
+    else:
+        group = i[0] - i[0, 0]
+        row = np.arange(len(group)) - np.searchsorted(group, group)
+        padded = np.zeros((group[-1] + 1, row.max() + 1, len(w)))
+        padded[group, row] = w.T
+        tables = slice(i[0, 0], i[0, -1] + 1)
     planes = generator._planes.reshape(len(generator._planes), p, d * d)
-    span = slice(i[0, 0], i[0, -1] + 1)
-    lin = (padded[..., :p] @ planes[span]).reshape(padded.shape[:2] + (d, d))
-    comm = (padded[..., p:] @ generator._comm[span]).reshape(lin.shape)
+    lin = (padded[..., :p] @ planes[tables]).reshape(padded.shape[:2] + (d, d))
+    comm = (padded[..., p:] @ generator._comm[tables]).reshape(lin.shape)
     out = (J @ lin + comm)[group, row]
-    cut = np.flatnonzero(i[0] != i[1])
-    if len(cut):
+    # Only a spline has knots for a step to straddle.
+    if len(generator._planes) > 1 and len(cut := (i[0] != i[1]).nonzero()[0]):
         a1, a2 = J @ _values(i[:, cut], b[:, :, cut], generator._planes)
-        out[cut] = 0.5 * h * (a1 + a2) + (_COMMUTATOR_WEIGHT * h * h) * (a2 @ a1 - a1 @ a2)
+        hc = h[cut, None, None] if np.ndim(h) else h
+        out[cut] = 0.5 * hc * (a1 + a2) + (_COMMUTATOR_WEIGHT * hc * hc) * (a2 @ a1 - a1 @ a2)
     return out
 
 
@@ -784,21 +796,35 @@ def integrate(generator: HessianPath, t_start: float = 0.0, t_end: float = 1.0,
                           matrices=mats, generator=generator)
 
 
-def evaluate(path: SymplecticPath, t: float) -> np.ndarray:
-    """Evaluate Psi(t) anywhere in the path domain.
+def evaluate(path: SymplecticPath, t) -> np.ndarray:
+    """Psi(t) anywhere in the path domain, for a time t, or the stack of Psi
+    at an array of times (shape t.shape + (d, d)), in any order.
 
-    At nodes this returns the stored matrix; between nodes it re-integrates
-    a single Magnus sub-step from the nearest earlier node.  Polynomial
-    interpolation is never used, since it would break symplecticity.
+    A time within `_NODE_SNAP` of a node returns the stored matrix; any
+    other time re-integrates a single Magnus sub-step from the node before
+    it.  Polynomial interpolation is never used, since it would break
+    symplecticity.  All sub-steps of a call take one `_step_exponents` (one
+    step length per time), one `symplectic_expm` and one batched product,
+    and each Psi has the same bits whatever other times share the call, so
+    a scalar call is the one-element case.  The domain check and the node
+    snap run on Python floats, which costs less than array operations for
+    the few times a call takes; the first time outside the domain (NaN
+    included) raises ValueError.
     """
-    if not (path.t_start - _DOMAIN_SLACK <= t <= path.t_end + _DOMAIN_SLACK):  # NaN too
-        raise ValueError(f"time {t} outside path domain [{path.t_start}, {path.t_end}]")
-    t = min(max(t, path.t_start), path.t_end)
-    idx = int(np.searchsorted(path.times, t, side="right")) - 1
-    idx = min(max(idx, 0), len(path.times) - 1)
-    if abs(path.times[idx] - t) <= 1e-13:
-        return path.matrices[idx].copy()
-    if idx + 1 < len(path.times) and abs(path.times[idx + 1] - t) <= 1e-13:
-        return path.matrices[idx + 1].copy()
-    w = _step_exponents(path.generator, path.times[idx:idx + 1], t - float(path.times[idx]))
-    return symplectic_expm(w[0]) @ path.matrices[idx]
+    ts, nodes, off, steps = np.asarray(t, dtype=float), [], [], []
+    times, lo, hi, last = path.times, path.t_start, path.t_end, len(path.times) - 1
+    for x, k in zip((flat := ts.ravel()).tolist(), times.searchsorted(flat, "right").tolist()):
+        if not lo - _DOMAIN_SLACK <= x <= hi + _DOMAIN_SLACK:  # NaN too
+            raise ValueError(f"time {x} outside path domain [{lo}, {hi}]")
+        x, k = min(max(x, lo), hi), max(k - 1, 0)  # node k is the last at or before x
+        # The next node when x is within the snap below it and not within it of node k.
+        k += k < last and times.item(k + 1) - x <= _NODE_SNAP < x - times.item(k)
+        if abs(times.item(k) - x) > _NODE_SNAP:
+            off.append(len(nodes))
+            steps.append(x - times.item(k))
+        nodes.append(k)
+    psis = path.matrices.take(nodes, axis=0)
+    if off:
+        w = _step_exponents(path.generator, times.take([nodes[r] for r in off]), np.array(steps))
+        psis[off] = symplectic_expm(w) @ psis.take(off, axis=0)
+    return psis.reshape(ts.shape + psis.shape[1:])

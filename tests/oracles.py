@@ -14,8 +14,10 @@ the closed form exp(t J S) of a constant generator, from scipy's `expm` and
 independent of the package's Taylor map, `refinement_orders` the observed
 order of `integrate` under step doubling against a fine run, `frame_phase`
 the graph phase from the 2n x 2n frame determinant, in exact arithmetic,
-and `concatenation_check` compares three separately lifted `rs_index`
-windows.
+`concatenation_check` compares three separately lifted `rs_index`
+windows, `brent_zero` drives the Brent coroutine with a function, and
+`sequential_roots` is the one-root-at-a-time locator that the lockstep
+`crossings._roots` must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -41,8 +43,15 @@ from hoferlab import (
     integrate,
     rs_index,
 )
-from hoferlab.crossings import ENDPOINT_TOL, KERNEL_RATIO, _certified, _scan_closed, _sigma_min
-from hoferlab.flows import _DOMAIN_SLACK, _GAUSS_OFFSETS, _SYMMETRY_TOL, MIN_STEPS
+from hoferlab.crossings import (
+    ENDPOINT_TOL,
+    KERNEL_RATIO,
+    _brent_zero,
+    _certified,
+    _crossings_at,
+    _scan_closed,
+)
+from hoferlab.flows import _DOMAIN_SLACK, _GAUSS_OFFSETS, _SYMMETRY_TOL, MIN_STEPS, graph_angles
 from hoferlab.symplectic import standard_structure, symplectic_expm, symplectic_inverse
 
 TWO_PI = 2.0 * math.pi
@@ -282,12 +291,65 @@ def concatenation_check(path: SymplecticPath, m: float) -> bool:
     if not (path.t_start < m < path.t_end):
         raise ValueError("split point must lie strictly inside the path domain")
     psi = evaluate(path, m)
-    if _sigma_min(psi) <= 10.0 * KERNEL_RATIO * float(np.linalg.norm(psi, 2)):
+    sigma_min = np.linalg.svd(psi - np.eye(path.dim), compute_uv=False)[-1]
+    if sigma_min <= 10.0 * KERNEL_RATIO * float(np.linalg.norm(psi, 2)):
         raise ValueError(f"split point t={m} is a crossing time")
     whole = rs_index(path, interval=(path.t_start, path.t_end))
     left = rs_index(path, interval=(path.t_start, m))
     right = rs_index(path, interval=(m, path.t_end))
     return whole.half_units == left.half_units + right.half_units
+
+
+def brent_zero(f, xa: float, xb: float, fa: float, fb: float) -> float:
+    """The zero that `crossings._brent_zero` finds for ``f``, calling f at
+    every point the coroutine asks for, as scipy's `brentq` does."""
+    root = _brent_zero(xa, xb, fa, fb)
+    try:
+        x = next(root)
+        while True:
+            x = root.send(f(x))
+    except StopIteration as stop:
+        return stop.value
+
+
+def sequential_roots(path: SymplecticPath, intervals: list, log: list) -> list[list]:
+    """Reference for `crossings._roots`: the crossings of each interval (a
+    list of samples), its sign changes root-found one after another, each
+    by `brent_zero` on scalar `evaluate` calls and classified alone.  Each
+    root-find appends (xa, xb, the times it evaluated) to ``log``."""
+    d = path.dim
+    spans = [(n, lo, hi) for n, samples in enumerate(intervals)
+             for lo, hi in zip(samples, samples[1:])]
+    out = [[] for _ in intervals]
+    for n, (t0, psi0, th0, w0, m0), (t1, psi1, th1, w1, m1) in spans:
+        seen, total0, found = {t0: psi0, t1: psi1}, float(th0.sum()), out[n]
+
+        def angle(t, rank, times):
+            times.append(t)
+            psi = seen[t] = evaluate(path, t)
+            theta = np.sort(graph_angles(psi - np.eye(d)))
+            moved = float(theta.sum()) - total0
+            rank += round((math.remainder(moved, 2.0 * math.pi) - moved) / (2.0 * math.pi))
+            return float(theta[min(max(rank, 0), d - 1)])
+
+        pairs = [(i, i + int(w1 - w0)) for i in range(d)]
+        pairs = [(i, j) for i, j in pairs if 0 <= j < d and not (m0[i] or m1[j])]
+        for group in ([p for p in pairs[::-1] if th0[p[0]] <= 0.0 < th1[p[1]]],
+                      [p for p in pairs if th1[p[1]] <= 0.0 < th0[p[0]]]):
+            used = 0
+            for i, j in group:
+                if used:
+                    used -= 1
+                    continue
+                times = []
+                tau = brent_zero(lambda t, i=i, times=times: angle(t, i, times),
+                                 t0, t1, th0[i], th1[j])
+                log.append((t0, t1, times))
+                psi = seen[tau] if tau in seen else evaluate(path, tau)
+                if (c := _crossings_at(path, [tau], [psi])[0]) is not None:
+                    found.append(c)
+                    used = c.multiplicity - 1
+    return out
 
 
 def crossing_form_index(path, interval=None, policy: str = OPEN_OPEN) -> IndexValue:

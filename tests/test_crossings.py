@@ -21,11 +21,13 @@ from hoferlab import (
     integrate,
     morse_index,
     rs_index,
+    sphere_height_scenario,
 )
 from hoferlab.errors import CrossingResolutionError
 from hoferlab.flows import graph_angles, interpolant_bound, phase_window
 from tests.oracles import (
     TWO_PI,
+    brent_zero,
     cayley_index,
     concatenation_check,
     constant_planar,
@@ -36,6 +38,7 @@ from tests.oracles import (
     random_indefinite_fourier,
     random_negdef_fourier,
     random_nondegenerate_negdef,
+    sequential_roots,
 )
 
 
@@ -113,34 +116,91 @@ def test_scans_leave_no_state_on_the_path():
     assert set(vars(path)) == before
 
 
+def _recording_brent(monkeypatch):
+    """Patch `_brent_zero` to log (xa, xb, the times it asks for) per root-find."""
+    brent, log = crossings_module._brent_zero, []
+
+    def recording(xa, xb, fa, fb):
+        times, root, f = [], brent(xa, xb, fa, fb), None
+        log.append((xa, xb, times))
+        try:
+            while True:
+                times.append(root.send(f))
+                f = yield times[-1]
+        except StopIteration as stop:
+            return stop.value
+
+    monkeypatch.setattr(crossings_module, "_brent_zero", recording)
+    return log
+
+
 def test_scan_refines_only_unknown_minima(monkeypatch):
     # The identity at the path start is placed by the endpoint rule, so the
     # one crossing of lam = 7 is the only root-finding; a window that starts
     # after it root-finds nothing.
     path = integrate(constant_planar(7.0), 0.0, 1.0, 512)
-    brent, evaluate = crossings_module._brent_zero, crossings_module.evaluate
-    brackets, evaluations = [], []
-
-    def counting_brent(f, lo, hi, f_lo, f_hi):
-        brackets.append((float(lo), float(hi)))
-        return brent(f, lo, hi, f_lo, f_hi)
-
-    def counting_evaluate(p, t):
-        evaluations.append(t)
-        return evaluate(p, t)
-
-    monkeypatch.setattr(crossings_module, "_brent_zero", counting_brent)
-    monkeypatch.setattr(crossings_module, "evaluate", counting_evaluate)
+    log = _recording_brent(monkeypatch)
     assert len(find_crossings(path, (0.0, 1.0))) == 1
-    assert len(brackets) == 1 and 0.0 < brackets[0][0] < TWO_PI / 7.0 < brackets[0][1]
-    # The angle is linear in t here, so Brent's zero takes two calls (the
-    # bounded Brent refinement of sigma_min it replaced took 26).
-    assert len(evaluations) == 2
+    assert len(log) == 1 and 0.0 < log[0][0] < TWO_PI / 7.0 < log[0][1]
+    # The angle is linear in t here, so Brent's zero takes two evaluations
+    # (the bounded Brent refinement of sigma_min it replaced took 26).
+    assert len(log[0][2]) == 2
 
     first_after = float(path.times[np.searchsorted(path.times, TWO_PI / 7.0)])
-    brackets.clear()
+    log.clear()
     assert find_crossings(path, (first_after, 1.0)) == []
-    assert brackets == []
+    assert log == []
+
+
+def _spying_roots(monkeypatch):
+    """Patch `_roots` to keep (path, intervals, crossings per interval) of
+    each call."""
+    roots, calls = crossings_module._roots, []
+
+    def spying(path, intervals):
+        calls.append((path, intervals, roots(path, intervals)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(crossings_module, "_roots", spying)
+    return calls
+
+
+def _crossing_bits(crossings):
+    return [(c.time, c.multiplicity, c.signature, c.regular, c.kernel_basis.tobytes())
+            for c in crossings]
+
+
+def test_lockstep_roots_match_sequential_reference(monkeypatch):
+    # Every root-find of a scan runs in lockstep, on batched `evaluate` and
+    # `graph_angles` calls.  On the same samples, one root after another on
+    # scalar calls finds the same crossings, bit for bit, and each root-find
+    # evaluates the same times; rotations add crossings of multiplicity 2,
+    # whose second sign change is never root-found.
+    rng = np.random.default_rng(8128)
+    paths = [integrate(random_negdef_fourier(dim, rng), 0.0, 1.0, 512)
+             for dim in (2, 4, 6) for _ in range(5)]
+    paths += [integrate(sphere_height_scenario(lam).S_max, 0.0, 1.0, 1024)
+              for lam in (9.0, 13.0, 20.0)]
+    with monkeypatch.context() as patch:
+        calls, log = _spying_roots(patch), _recording_brent(patch)
+        for path in paths:
+            find_crossings(path)
+    reference_log = []
+    for path, intervals, found in calls:
+        reference = sequential_roots(path, intervals, reference_log)
+        assert [_crossing_bits(f) for f in found] == [_crossing_bits(r) for r in reference]
+    assert sorted(log) == sorted(reference_log)
+    assert len(log) >= 30
+
+
+def test_multiple_crossing_is_root_found_once(monkeypatch):
+    # sphere_height at lambda = 9 crosses once on [0, 1], with multiplicity
+    # 2.  Its two sign changes form one group, and the first root accounts
+    # for both, so the scan makes 2 Brent evaluations, not 4.
+    path = integrate(sphere_height_scenario(9.0).S_max, 0.0, 1.0, 2048)
+    log = _recording_brent(monkeypatch)
+    assert [c.multiplicity for c in find_crossings(path)] == [2]
+    assert len(log) == 1 and len(log[0][2]) == 2
 
 
 def _brentq_both_ways(func, lo, hi):
@@ -157,7 +217,7 @@ def _brentq_both_ways(func, lo, hi):
                     disp=False)
     assert res.function_calls == len(seen[0])
     f = counted(1)
-    port = crossings_module._brent_zero(f, lo, hi, f(lo), f(hi))
+    port = brent_zero(f, lo, hi, f(lo), f(hi))
     return (float(x), seen[0]), (port, seen[1])
 
 

@@ -28,12 +28,16 @@ from hoferlab import (
     symplectic_residual,
 )
 from hoferlab.flows import (
+    _GAUSS_OFFSETS,
+    _NODE_SNAP,
+    _WINDOW_SNAP,
     _node_sigma_bounds,
     _require_symmetric,
     _slope_system,
     _spline_coefficients,
     graph_phase,
     interpolant_bound,
+    phase_window,
 )
 from hoferlab.symplectic import _THETA_8
 from tests.oracles import (
@@ -839,6 +843,59 @@ def test_evaluate_outside_domain():
     path = integrate(constant_planar(3.0), 0.0, 0.5, 64)
     with pytest.raises(ValueError):
         evaluate(path, 0.75)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+@pytest.mark.parametrize("kind", ["constant", "fourier", "sampled"])
+def test_array_evaluate_equals_scalar_calls_bit_for_bit(kind, dim, rng):
+    # 100 steps over the spline's 64 knot intervals: some sub-steps have
+    # their Gauss nodes on both sides of a knot.  Times within _NODE_SNAP of
+    # a node, on either side, return the stored node; 1e-11 away they do not.
+    gen = _generator(kind, dim, rng)
+    path = integrate(gen, 0.0, 1.0, 100)
+    nodes = rng.integers(1, 100, size=8)
+    at = path.times[nodes]
+    knots = np.linspace(0.0, 1.0, 65)[1:-1]
+    before = path.times[np.searchsorted(path.times, knots) - 1]
+    straddle = (before + 1.5 * (knots - before))[knots - before < path.grid_spacing / 1.5]
+    near = 0.9 * _NODE_SNAP  # node + _NODE_SNAP itself may round to a little more
+    times = np.concatenate((rng.uniform(0.0, 1.0, 24), at, at + near, at - near,
+                            at + 1e-11, straddle, [0.0, 1.0, -0.5e-12, 1.0 + 0.5e-12]))
+    times = rng.permutation(np.concatenate((times, times[:10])))
+    stack = evaluate(path, times)
+    assert stack.shape == (len(times), dim, dim)
+    for t, psi in zip(times.tolist(), stack):
+        assert np.array_equal(psi, evaluate(path, t))
+    assert np.array_equal(evaluate(path, times.reshape(-1, 2)), stack.reshape(-1, 2, dim, dim))
+    for offset in (0.0, near, -near):
+        assert np.array_equal(evaluate(path, at + offset), path.matrices[nodes])
+    assert not np.array_equal(evaluate(path, at + 1e-11), path.matrices[nodes])
+    assert np.array_equal(evaluate(path, [-0.5e-12, 1.0 + 0.5e-12]), path.matrices[[0, -1]])
+    if kind == "sampled":
+        base = path.times[np.searchsorted(path.times, straddle) - 1]
+        gauss = _GAUSS_OFFSETS[:, None] * (straddle - base) + base
+        assert len(straddle) >= 10 and (np.searchsorted(knots, gauss[0], "right")
+                                        != np.searchsorted(knots, gauss[1], "right")).all()
+
+
+def test_array_evaluate_names_the_first_bad_time():
+    path = integrate(constant_planar(3.0), 0.0, 0.5, 64)
+    for bad, first in (([0.1, 0.75, math.nan], "0.75"), ([0.2, math.nan, -1.0], "nan")):
+        with pytest.raises(ValueError, match=f"time {first} outside path domain"):
+            evaluate(path, np.array(bad))
+    assert evaluate(path, np.empty(0)).shape == (0, 2, 2)
+
+
+def test_phase_window_drops_nodes_next_to_its_ends():
+    # A window end within _WINDOW_SNAP of a node stands for it, so no
+    # sample interval is shorter than that; 2 _WINDOW_SNAP away the node is
+    # a sample of its own.
+    path = integrate(constant_planar(3.0), 0.0, 1.0, 64)
+    t10, t50 = float(path.times[10]), float(path.times[50])
+    ts = phase_window(path, t10 - 0.5 * _WINDOW_SNAP, t50 + 0.5 * _WINDOW_SNAP)[0]
+    assert ts[1] == path.times[11] and ts[-2] == path.times[49]
+    ts = phase_window(path, t10 - 2.0 * _WINDOW_SNAP, t50 + 2.0 * _WINDOW_SNAP)[0]
+    assert ts[1] == t10 and ts[-2] == t50
 
 
 def test_nan_time_is_outside_every_domain():

@@ -182,7 +182,7 @@ def test_theorem_computes_each_stage_once(monkeypatch):
     # One validation, one nondegeneracy check per side, one scan of [0, 1]
     # on each side, and one graph-phase lift per path: CZ(eps) and the
     # index on (eps, 1] are read off the maximizer's lift, which evaluates
-    # Psi(eps) once.
+    # Psi(eps) once (counted over the times of every `evaluate` call).
     import hoferlab.crossings
     import hoferlab.models
     import hoferlab.morse
@@ -193,7 +193,10 @@ def test_theorem_computes_each_stage_once(monkeypatch):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls.append((name, *args[1:2]) if name == "evaluate" else name)
+            if name == "evaluate":
+                calls.extend(("evaluate", t) for t in np.ravel(args[1]).tolist())
+            else:
+                calls.append(name)
             return original(*args, **kwargs)
 
         return wrapper
