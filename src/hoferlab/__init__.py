@@ -63,7 +63,6 @@ from .symplectic import (
     omega,
     standard_structure,
     symplectic_expm,
-    symplectic_inverse,
     symplectic_residual,
 )
 
@@ -73,7 +72,7 @@ __all__ = [
     "__version__",
     # symplectic
     "StandardStructure", "standard_structure", "omega", "symplectic_residual",
-    "symplectic_inverse", "symplectic_expm", "hamiltonian_vector_field_selftest",
+    "symplectic_expm", "hamiltonian_vector_field_selftest",
     # flows
     "DEFAULT_STEPS", "NEGATIVE_DEFINITE", "POSITIVE_DEFINITE", "INDEFINITE",
     "HessianPath", "SymplecticPath", "integrate", "evaluate", "direct_sum",

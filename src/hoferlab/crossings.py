@@ -443,8 +443,8 @@ def _scan_closed(path: SymplecticPath, a: float, b: float, window=None) -> list[
             _bisect(path, runs, ts[k], ts[k + 1], sigma[k], sigma[k + 1], norms[k], bound)
         crossings += located
     # `_crossings_at` decides at the middle of each run of bisection pieces.
-    mids = [0.5 * (lo + hi) for lo, hi in runs]
-    crossings += [c for c in _crossings_at(path, mids, evaluate(path, mids)) if c is not None]
+    if mids := [0.5 * (lo + hi) for lo, hi in runs]:
+        crossings += [c for c in _crossings_at(path, mids, evaluate(path, mids)) if c is not None]
     crossings.sort(key=lambda c: c.time)
     # Roots closer than TIME_TOL are one crossing: the angles of a multiple
     # eigenvalue at a sample can straddle 0 by rounding, and then one of

@@ -66,7 +66,8 @@ _GRAM_SLACK = 16.0
 # Graph phase sub-steps stay below a quarter turn, at most 64 per grid step.
 _QUARTER_TURN = 0.5 * math.pi
 _PHASE_SUBSTEPS_MAX = 64
-# Steps per numpy call in `integrate`; larger blocks cost memory, not speed.
+# Steps per numpy call in `integrate`, and nodes per pass of the node gate
+# (`SymplecticPath`); larger blocks cost memory, not speed.
 _BLOCK_STEPS = 512
 # Steps per chunk of the running product: a block of B steps takes about
 # _CHUNK_STEPS + B / _CHUNK_STEPS numpy calls (`integrate`).
@@ -142,13 +143,13 @@ class HessianPath:
       constant, (1, cos, sin) for Fourier, and (1, s, s^2, s^3),
       s = t - t_i, with the four cubic planes of the knot interval for a
       spline (see `_values`);
-    * the step table: the planes and the commutator terms
+    * the step table: the planes times J, J B_j, and the commutator terms
       (sqrt(3)/12) [J B_k, J B_j] for j < k, one set per knot interval,
       from which `integrate` and `evaluate` form every Magnus step
-      exponent (`_step_exponents`) without calling the generator.  J B_j
-      is a signed permutation of B_j, so the table keeps B_j and applies J
-      after the contraction.  The stack is checked (finite and symmetric)
-      here, so no value needs a check later;
+      exponent (`_step_exponents`) by one contraction, without calling the
+      generator or applying J afterwards.  J is a signed permutation, so
+      J B_j is B_j with its rows swapped and signed, exactly.  The stack is
+      checked (finite and symmetric) here, so no value needs a check later;
     * the definiteness tag, ``norm_bound`` and ``slope_bound``, which hold
       for every t in [0, 1] (see `_certified_spectrum`): a generator whose
       definiteness cannot be certified is tagged indefinite,
@@ -177,10 +178,10 @@ class HessianPath:
             raise ValueError(f"phase-space dimension must be even and >= 2, got {self.dim}")
         self._basis, self._planes, samples, slack, self.slope_bound = _COMPILERS[kind](
             self.stack, self.n_cos)
-        # The commutator terms (sqrt(3)/12) [J B_k, J B_j] of each interval's
-        # planes, flattened, for the pairs (j, k) with j < k; -S(t) has the
-        # same ones.
-        lin = standard_structure(self.dim // 2).J @ self._planes
+        # J B_j and the commutator terms (sqrt(3)/12) [J B_k, J B_j] of each
+        # interval's planes, for the pairs (j, k) with j < k; -S(t) has the
+        # same commutators.
+        self._lin = lin = standard_structure(self.dim // 2).J @ self._planes
         self._pairs = j, k = np.triu_indices(lin.shape[1], 1)
         comm = _COMMUTATOR_WEIGHT * (lin[:, k] @ lin[:, j] - lin[:, j] @ lin[:, k])
         self._comm = comm.reshape(len(lin), len(j), self.dim**2)
@@ -214,15 +215,15 @@ class HessianPath:
 
     def negated(self) -> "HessianPath":
         """The generator -S(t), e.g. to treat a minimizer as a maximizer of -H.
-        The same compiled generator with its stack and planes negated: the
-        basis, the commutators of the step table and the bounds hold as they
-        are and the definiteness swaps.  A spline's constant plane is
+        The same compiled generator with its stack, planes and J B_j negated:
+        the basis, the commutators of the step table and the bounds hold as
+        they are and the definiteness swaps.  A spline's constant plane is
         re-based at +0.0 (`_spline_coefficients`), so the values are those
         of the generator built from the negated stack, bit for bit."""
         neg = copy.copy(self)
         neg.stack = np.negative(self.stack)
         neg.stack.flags.writeable = False
-        neg._planes = np.negative(self._planes)
+        neg._planes, neg._lin = np.negative(self._planes), np.negative(self._lin)
         if self.kind == "sampled":  # its values start at +0.0, as the fit's do
             neg._planes[:, 0] = 0.0 - self._planes[:, 0]
         neg.definiteness = _NEGATED.get(self.definiteness, INDEFINITE)
@@ -451,7 +452,10 @@ class SymplecticPath:
     Omega + E = M^T Omega M is skew, so det M = Pf(Omega + E) / Pf(Omega) =
     1 + tr(Omega^-1 E) / 2 + O(||E||^2), sign included, and |det M - 1| <=
     (d/2) max |E_ij| to first order.  The gate holds det M to 1 only up to
-    that factor d/2.  It keeps ``end_sigma``, the singular values of
+    that factor d/2.  The residual is formed per `_BLOCK_STEPS` nodes in two
+    reused buffers, and the per-node tolerances only in a block whose
+    largest residual exceeds 1e-9; the gate raises at the first node over
+    its tolerance.  It keeps ``end_sigma``, the singular values of
     Psi(t_end) - I (descending), where nondegeneracy is decided; node sigma
     bounds (`sigma_min_nodes`) and graph phases (`graph_phase`) are computed
     on demand, where the scan reads them.
@@ -474,25 +478,31 @@ class SymplecticPath:
             raise IntegrationError("node times must strictly increase")
         if np.abs(self.matrices[0] - np.eye(self.dim)).max() > 1e-12:
             raise IntegrationError("path does not start at the identity")
-        m = self.matrices
-        # M^T Omega by a signed column swap: Omega = -J has entries
-        # Omega[2k, 2k + 1] = 1 and Omega[2k + 1, 2k] = -1, so this is exact.
-        mt_om = np.empty_like(m)
-        np.negative(m[:, 1::2].swapaxes(1, 2), out=mt_om[..., 0::2])
-        mt_om[..., 1::2] = m[:, 0::2].swapaxes(1, 2)
-        res = mt_om @ m
-        del mt_om
-        res -= standard_structure(self.dim // 2).omega_matrix
-        np.abs(res, out=res)
-        self.max_symplectic_residual = float(res.max())
-        if self.max_symplectic_residual > _NODE_RESIDUAL_TOL:
-            # The residual rounds like eps ||Psi||^2, so each node's gate scales with it.
-            tol = _NODE_RESIDUAL_TOL * np.maximum(1.0, np.abs(m).max(axis=(1, 2)) ** 2)
-            defect = res.max(axis=(1, 2))
-            if (defect > tol).any():
-                i = int(np.argmax(defect > tol))
-                raise IntegrationError(f"symplectic residual {defect[i]:.3e} exceeds 1e-9 max(1, "
-                                       f"max|Psi|^2) = {tol[i]:.3e} at node {i}")
+        # E = M^T Omega M - Omega per block of nodes, in two reused buffers; a
+        # block also takes the next one's first node, so the end node is never
+        # a block alone.  M^T Omega is a signed column swap: Omega = -J has
+        # entries Omega[2k, 2k + 1] = 1 and Omega[2k + 1, 2k] = -1, so this is exact.
+        om = standard_structure(self.dim // 2).omega_matrix
+        mt_om, res = np.empty((2, min(len(self.times), _BLOCK_STEPS + 1), self.dim, self.dim))
+        self.max_symplectic_residual = 0.0
+        for lo in range(0, max(len(self.times) - 1, 1), _BLOCK_STEPS):
+            m = self.matrices[lo:lo + _BLOCK_STEPS + 1]
+            t, r = mt_om[:len(m)], res[:len(m)]
+            np.negative(m[:, 1::2].swapaxes(1, 2), out=t[..., 0::2])
+            t[..., 1::2] = m[:, 0::2].swapaxes(1, 2)
+            np.matmul(t, m, out=r)
+            r -= om
+            np.abs(r, out=r)
+            top = float(r.max())
+            if top > _NODE_RESIDUAL_TOL:
+                # The residual rounds like eps ||Psi||^2, so each node's gate scales with it.
+                tol = _NODE_RESIDUAL_TOL * np.maximum(1.0, np.abs(m).max(axis=(1, 2)) ** 2)
+                defect = r.max(axis=(1, 2))
+                if (defect > tol).any():
+                    i = int(np.argmax(defect > tol))
+                    raise IntegrationError(f"symplectic residual {defect[i]:.3e} exceeds 1e-9 max(1, "
+                                           f"max|Psi|^2) = {tol[i]:.3e} at node {lo + i}")
+            self.max_symplectic_residual = max(self.max_symplectic_residual, top)
         self.end_sigma = np.linalg.svd(self.matrices[-1] - np.eye(self.dim), compute_uv=False)
 
     @property
@@ -681,29 +691,29 @@ def _step_exponents(generator: HessianPath, t0: np.ndarray, h) -> np.ndarray:
     A_k = J S(t0 + c_k h), of the steps [t0, t0 + h], as an (m, d, d) stack
     for a 1-D array t0 and ``h`` one step length (`integrate`; t0 ascending)
     or an array of one per step (`evaluate`), read from the generator's
-    step table: the planes B_j and the commutator terms
-    (sqrt(3)/12) [J B_k, J B_j] (j < k).
+    step table: J B_j and the commutator terms (sqrt(3)/12) [J B_k, J B_j]
+    (j < k).
 
     With the basis values b at the two Gauss nodes, A_1 + A_2 =
-    J sum_j (b_j(g1) + b_j(g2)) B_j and [A_2, A_1] = sum_{j < k}
+    sum_j (b_j(g1) + b_j(g2)) J B_j and [A_2, A_1] = sum_{j < k}
     (b_k(g2) b_j(g1) - b_j(g2) b_k(g1)) [J B_k, J B_j], so one weight row
-    per step contracts with its knot interval's table; J, a signed
-    permutation, is applied after the sum.  Steps of one length form one
-    matrix of weight rows per knot interval (padded with zero rows to the
-    longest, which needs t0 ascending), so a batched product contracts
-    every interval at once.  Steps of their own lengths are contracted row
-    by row, so each exponent has the same bits whatever other steps share
-    the call (a matrix product of several rows may round differently from
-    one of a single row).  A spline step whose Gauss nodes lie in two knot
+    per step contracts with its knot interval's table into the exponent
+    (J is a signed permutation, so this equals J applied after a sum over
+    the planes B_j, up to the sign of zero entries).  Steps of one length
+    form one matrix of weight rows per knot interval (padded with zero rows
+    to the longest, which needs t0 ascending), so a batched product
+    contracts every interval at once.  Steps of their own lengths are
+    contracted row by row, so each exponent has the same bits whatever
+    other steps share the call (a matrix product of several rows may round
+    differently from one of a single row).  A spline step whose Gauss nodes lie in two knot
     intervals takes A_1 = J S(g1) and A_2 = J S(g2) from `_values`, the
-    table's one evaluator of S(t), and their commutator directly, as
+    one evaluator of S(t), on J B_j, and their commutator directly, as
     `tests/oracles.magnus_exponent` forms them from generator values, bit
     for bit.  A constant generator's exponent is h J S bit for bit: its one
     weight is exactly h.
     """
     i, b = generator._basis(_GAUSS_OFFSETS[:, None] * h + t0)
     (j, k), p, d = generator._pairs, len(b), generator.dim
-    J = standard_structure(d // 2).J
     b1, b2 = b[:, 0], b[:, 1]
     w = np.concatenate((0.5 * h * (b1 + b2), h * h * (b2[k] * b1[j] - b2[j] * b1[k])))
     if np.ndim(h):  # a row per step, contracted with its own interval's table
@@ -714,13 +724,13 @@ def _step_exponents(generator: HessianPath, t0: np.ndarray, h) -> np.ndarray:
         padded = np.zeros((group[-1] + 1, row.max() + 1, len(w)))
         padded[group, row] = w.T
         tables = slice(i[0, 0], i[0, -1] + 1)
-    planes = generator._planes.reshape(len(generator._planes), p, d * d)
-    lin = (padded[..., :p] @ planes[tables]).reshape(padded.shape[:2] + (d, d))
-    comm = (padded[..., p:] @ generator._comm[tables]).reshape(lin.shape)
-    out = (J @ lin + comm)[group, row]
+    lin = generator._lin.reshape(len(generator._lin), p, d * d)
+    out = padded[..., :p] @ lin[tables]
+    out += padded[..., p:] @ generator._comm[tables]
+    out = out.reshape(padded.shape[:2] + (d, d))[group, row]
     # Only a spline has knots for a step to straddle.
-    if len(generator._planes) > 1 and len(cut := (i[0] != i[1]).nonzero()[0]):
-        a1, a2 = J @ _values(i[:, cut], b[:, :, cut], generator._planes)
+    if len(lin) > 1 and len(cut := (i[0] != i[1]).nonzero()[0]):
+        a1, a2 = _values(i[:, cut], b[:, :, cut], generator._lin)
         hc = h[cut, None, None] if np.ndim(h) else h
         out[cut] = 0.5 * hc * (a1 + a2) + (_COMMUTATOR_WEIGHT * hc * hc) * (a2 @ a1 - a1 @ a2)
     return out

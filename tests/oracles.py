@@ -9,7 +9,8 @@ and (in dimension 2) from the winding of the eigenvalue angle.
 `integrate_stepwise` is the per-step loop that the blocked `integrate` must
 reproduce (to 1e-12 relative per node), `magnus_exponent` the step exponent
 from checked generator values that the step table must reproduce (to 1e-14
-relative), `restrict` re-bases a path on a sub-window, `constant_flow` is
+relative), `symplectic_inverse` inverts a symplectic matrix as -J M^T J,
+`restrict` re-bases a path on a sub-window, `constant_flow` is
 the closed form exp(t J S) of a constant generator, from scipy's `expm` and
 independent of the package's Taylor map, `refinement_orders` the observed
 order of `integrate` under step doubling against a fine run, `frame_phase`
@@ -52,7 +53,7 @@ from hoferlab.crossings import (
     _scan_closed,
 )
 from hoferlab.flows import _DOMAIN_SLACK, _GAUSS_OFFSETS, _SYMMETRY_TOL, MIN_STEPS, graph_angles
-from hoferlab.symplectic import standard_structure, symplectic_expm, symplectic_inverse
+from hoferlab.symplectic import StandardStructure, _check_dim, standard_structure, symplectic_expm
 
 TWO_PI = 2.0 * math.pi
 
@@ -248,6 +249,19 @@ def integrate_stepwise(generator: HessianPath, t_start: float = 0.0, t_end: floa
             mats[k + 1] = psi
     return SymplecticPath(dim=d, t_start=t_start, t_end=t_end, times=times,
                           matrices=mats, generator=generator)
+
+
+def symplectic_inverse(structure: StandardStructure, M) -> np.ndarray:
+    """Invert a symplectic matrix without a linear solve.
+
+    Uses M^{-1} = omega^{-1} M^T omega, which for this package's structures
+    (omega_matrix = -J) reduces to -J M^T J.  The result of inverting a
+    numerically symplectic matrix stays symplectic to rounding.
+    """
+    M = np.asarray(M, dtype=float)
+    _check_dim(structure, M)
+    J = structure.J
+    return -(J @ M.T @ J)
 
 
 def restrict(path: SymplecticPath, a: float, b: float) -> SymplecticPath:

@@ -266,7 +266,7 @@ def test_criterion_9_invariance_suite():
     with criterion(9, "conjugation and reparametrization invariance"):
         rng = np.random.default_rng(14142)
         # Symplectic conjugation: 50 cases.
-        from hoferlab import symplectic_inverse
+        from tests.oracles import symplectic_inverse
 
         for i in range(50):
             dim = (2, 4)[i % 2]

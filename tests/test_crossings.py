@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 import hoferlab.crossings as crossings_module
 import hoferlab.flows as flows_module
 from hoferlab import (
+    NEGATIVE_DEFINITE,
     EndpointCrossingError,
     HessianPath,
     IrregularCrossingError,
     crossing_form,
     direct_sum,
+    evaluate,
     find_crossings,
     integrate,
     morse_index,
@@ -201,6 +203,24 @@ def test_multiple_crossing_is_root_found_once(monkeypatch):
     log = _recording_brent(monkeypatch)
     assert [c.multiplicity for c in find_crossings(path)] == [2]
     assert len(log) == 1 and len(log[0][2]) == 2
+
+
+def test_definite_scan_makes_no_empty_evaluate_call(monkeypatch):
+    # A definite generator never bisects, so the scan has no run middles to
+    # classify and must not call `evaluate` on an empty list of times.
+    sizes = []
+
+    def counting(path, t):
+        sizes.append(np.size(t))
+        return evaluate(path, t)
+
+    monkeypatch.setattr(crossings_module, "evaluate", counting)
+    rng = np.random.default_rng(4711)
+    for dim in (2, 4):
+        gen = random_negdef_fourier(dim, rng)
+        assert gen.definiteness == NEGATIVE_DEFINITE
+        find_crossings(integrate(gen, 0.0, 1.0, 512))
+    assert sizes and min(sizes) > 0
 
 
 def _brentq_both_ways(func, lo, hi):

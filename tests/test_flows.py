@@ -994,6 +994,54 @@ def test_node_off_the_group_raises(make, rng):
             dataclasses.replace(path, matrices=mats)
 
 
+def _node_residuals(m: np.ndarray) -> np.ndarray:
+    """max |M^T Omega M - Omega| of each node, over the whole array at once."""
+    om = standard_structure(m.shape[-1] // 2).omega_matrix
+    return np.abs((m.swapaxes(1, 2) @ om) @ m - om).max(axis=(1, 2))
+
+
+def _gate_message(m: np.ndarray, node: int) -> str:
+    defect, tol = _node_residuals(m)[node], 1e-9 * max(1.0, np.abs(m[node]).max() ** 2)
+    return (f"symplectic residual {defect:.3e} exceeds 1e-9 max(1, max|Psi|^2) = {tol:.3e} "
+            f"at node {node}")
+
+
+@pytest.mark.parametrize("steps", [8, 512, 1024, 8192])
+def test_blocked_node_gate_keeps_the_full_array_residual(steps, rng):
+    # The gate runs per block of `_BLOCK_STEPS` nodes plus the next block's
+    # first: 9, 513, 1025 and 8193 nodes take one short block, one full
+    # block, 2 and 16 blocks.
+    for path in (integrate(_hyperbolic_draw(4, rng), 0.0, 1.0, steps),
+                 integrate(random_negdef_fourier(6, rng), 0.0, 1.0, steps)):
+        assert path.max_symplectic_residual == _node_residuals(path.matrices).max()
+
+
+@pytest.mark.parametrize("node", [700, 1024])
+def test_blocked_node_gate_names_the_first_bad_node(node, rng):
+    # Node 700 lies inside the second block, node 1024 ends it and starts the
+    # third; a later bad node does not hide it.
+    path = integrate(random_negdef_fourier(4, rng), 0.0, 1.0, 2048)
+    mats = path.matrices.copy()
+    for k in (node + 200, node):
+        mats[k] += 1e-6 * rng.normal(size=(4, 4))
+    with pytest.raises(IntegrationError) as info:
+        dataclasses.replace(path, matrices=mats)
+    assert str(info.value) == _gate_message(mats, node)
+
+
+def test_blocked_node_gate_is_relative_in_a_later_block(rng):
+    # A large symplectic node, rounded off the group by 1e-14 of its size,
+    # in the third block: above 1e-9 absolute, within 1e-9 max|Psi|^2.
+    path = integrate(random_negdef_fourier(4, rng), 0.0, 1.0, 2048)
+    stretch = np.diag([1e4, 1e-4, 1e4, 1e-4])
+    big = stretch @ path.matrices[1200]
+    mats = path.matrices.copy()
+    mats[1200] = big + 1e-14 * np.abs(big).max() * rng.normal(size=(4, 4))
+    residuals = _node_residuals(mats)
+    assert 1e-9 < residuals[1200] < 1e-9 * np.abs(mats[1200]).max() ** 2
+    assert dataclasses.replace(path, matrices=mats).max_symplectic_residual == residuals.max()
+
+
 @pytest.mark.parametrize("dim", [2, 4, 6])
 def test_interpolant_bound_covers_the_taylor_map(dim, rng):
     # The crossing gate charges `interpolant_bound`'s third term for the

@@ -14,10 +14,10 @@ from hoferlab import (
     omega,
     standard_structure,
     symplectic_expm,
-    symplectic_inverse,
     symplectic_residual,
 )
 from hoferlab.symplectic import _THETA_8
+from tests.oracles import symplectic_inverse
 
 
 def test_standard_structure_n1_quarter_turn(struct2):
@@ -188,3 +188,35 @@ def test_symplectic_expm_makes_no_linear_solve(rng, monkeypatch):
     a = standard_structure(3).J @ (s + s.swapaxes(1, 2))
     a *= np.geomspace(1e-3, 20.0, 16)[:, None, None]
     assert np.isfinite(symplectic_expm(a)).all()
+
+
+def _hamiltonian_stack(rng, n: int, dim: int, norms) -> np.ndarray:
+    """n random Hamiltonian matrices J (M + M^T), scaled to the given 1-norms."""
+    m = rng.normal(size=(n, dim, dim))
+    a = standard_structure(dim // 2).J @ (m + m.swapaxes(1, 2))
+    return a * (norms / np.abs(a).sum(axis=-2).max(axis=-1))[:, None, None]
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_symplectic_expm_shortcut_equals_per_matrix_calls(dim, rng, monkeypatch):
+    # The column sums of the stack's entrywise max |x| bound every 1-norm:
+    # at most _THETA_8 skips the per-matrix norms (no `einsum`), otherwise
+    # they are taken. Either way each matrix gets the bits of its own call.
+    einsums = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *a, **k: einsums.append(a[0]) or einsum(*a, **k))
+    bound = lambda a: np.abs(a).max(axis=0).sum(axis=0).max()
+    clear = _hamiltonian_stack(rng, 300, dim, np.full(300, 0.9 * _THETA_8 / dim))
+    below = _hamiltonian_stack(rng, 300, dim, rng.uniform(0.5, 1.0, 300) * _THETA_8)
+    straddle = _hamiltonian_stack(rng, 300, dim, np.geomspace(1e-4, 20.0, 300))
+    assert bound(clear) <= _THETA_8 < bound(below)
+    for a, fallback in ((clear, False), (below, True), (straddle, True)):
+        einsums.clear()
+        stacked = symplectic_expm(a)
+        assert len(einsums) == fallback
+        assert all(np.array_equal(x, symplectic_expm(m)) for x, m in zip(stacked, a))
+    for bad in (np.nan, np.inf, -np.inf):
+        for a in (clear.copy(), straddle.copy()):
+            a[7, 0, 1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                symplectic_expm(a)
