@@ -23,6 +23,13 @@ index", 1994).  Both algorithms read W.
   relative) gives each root its multiplicity and crossing form
   (`_crossings_at`).  The multiplicities found must add up to the
   spectral flow.
+
+One kernel rule decides both sides of the theorem: the multiplicities
+dim ker(Psi(tau) - I) at the crossings and the kernels the index counts at
+the window ends.  `_kernels` writes it once, sigma(Psi - I) < `KERNEL_RATIO`
+||Psi||_2, and takes both from one SVD call per stack; every kernel the
+scan and the index read, at roots, window ends, cuts and bisection runs,
+comes from it.
 """
 
 from __future__ import annotations
@@ -129,21 +136,29 @@ def crossing_form(s_at_tau: np.ndarray, kernel_basis: np.ndarray) -> tuple[int, 
     return (p, q)
 
 
-def _crossings_at(path: SymplecticPath, taus: list, psis) -> list:
-    """The crossing, or None, at each time of ``taus``, given Psi there: the
-    kernel of Psi - I is spanned by the right singular vectors whose
-    singular values lie below `KERNEL_RATIO` ||Psi||_2, and the crossing form
-    is read on it.  One SVD stack, one norm stack and one generator call
-    serve every time."""
-    if not taus:
-        return []
-    _u, s, vh = np.linalg.svd(psis - np.eye(path.dim))
-    masks = s < KERNEL_RATIO * np.linalg.norm(psis, 2, axis=(1, 2))[:, None]
-    found, forms = [None] * len(taus), path.generator(np.array(taus, dtype=float))
-    for r in np.flatnonzero(masks.any(axis=1)).tolist():
-        p, q = crossing_form(forms[r], basis := vh[r][masks[r]].T)
-        found[r] = Crossing(time=float(taus[r]), multiplicity=len(basis.T), kernel_basis=basis,
-                            signature=(p, q), regular=(p + q == len(basis.T)))
+def _kernels(psis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sigma(Psi - I), descending, and the kernel mask of each Psi of a
+    stack.  The mask holds the singular values below `KERNEL_RATIO`
+    ||Psi||_2, the kernel rule of the crossings and of the spectral counts
+    alike.  Both come from one SVD call on the stack of every Psi - I and
+    Psi; LAPACK works per matrix, so they have the bits of separate calls."""
+    sv = np.linalg.svd(np.concatenate((psis - np.eye(psis.shape[-1]), psis)), compute_uv=False)
+    return sv[:len(psis)], sv[:len(psis)] < KERNEL_RATIO * sv[len(psis):, :1]
+
+
+def _crossings_at(path: SymplecticPath, taus: list, psis: np.ndarray, masks: np.ndarray) -> list:
+    """The crossing, or None, at each time of ``taus``, given Psi there and
+    its kernel mask (`_kernels`): the kernel of Psi - I is spanned by the
+    right singular vectors the mask picks, and the crossing form is read on
+    it.  Only the times with a kernel take an SVD with vectors, one stack of
+    them, and one generator call."""
+    found, rows = [None] * len(taus), np.flatnonzero(masks.any(axis=1))
+    if rows.size:
+        vh = np.linalg.svd(psis[rows] - np.eye(path.dim))[2]
+        for r, v, form in zip(rows.tolist(), vh, path.generator(np.array(taus)[rows])):
+            p, q = crossing_form(form, basis := v[masks[r]].T)
+            found[r] = Crossing(time=float(taus[r]), multiplicity=len(basis.T), kernel_basis=basis,
+                                signature=(p, q), regular=(p + q == len(basis.T)))
     return found
 
 
@@ -177,22 +192,20 @@ def _lifted(path: SymplecticPath, window, times: np.ndarray):
     return psis, ref + _principal(graph_phase(psis) - ref)
 
 
-def _counts(theta: np.ndarray, whole: np.ndarray, psis: np.ndarray):
-    """Spectral counts in half-units, kernel dimensions, kernel masks and
-    sigma_min(Psi - I) of a stack of Psi, given its `_spectra`.
+def _counts(theta: np.ndarray, whole: np.ndarray, masks: np.ndarray):
+    """Spectral counts in half-units and kernel marks of a stack of Psi,
+    given its `_spectra` and its kernel masks (`_kernels`).
 
     With Phi a lift of the eigenangle sum of W, the count is
     2 sum_j (#{k: 2 pi k < phi_j} + #{k: 2 pi k = phi_j} / 2) up to one
     constant, i.e. 2 ((Phi - sum_j theta_j) / 2 pi + #{theta_j > 0})
-    + #kernel with theta_j the principal eigenangles.  The kernel is the k
-    angles nearest 0 (the mask), with k by `_crossings_at`'s rule.  The
-    spectral flow from s to t is count(s) - count(t).
+    + #kernel with theta_j the principal eigenangles.  The kernel marks are
+    the #kernel angles nearest 0.  The spectral flow from s to t is
+    count(s) - count(t).
     """
-    sigma = np.linalg.svd(psis - np.eye(psis.shape[-1]), compute_uv=False)
-    kernel = (sigma < KERNEL_RATIO * np.linalg.norm(psis, 2, axis=(1, 2))[:, None]).sum(axis=1)
+    kernel = masks.sum(axis=1)
     marks = np.argsort(np.argsort(np.abs(theta), axis=1), axis=1) < kernel[:, None]
-    count = 2 * whole + 2 * ((theta > 0.0) & ~marks).sum(axis=1) + kernel
-    return count, kernel, marks, sigma[:, -1]
+    return 2 * whole + 2 * ((theta > 0.0) & ~marks).sum(axis=1) + kernel, marks
 
 
 def _certified(s_lo, s_hi, width, norm, bound, floor, steps=1):
@@ -292,7 +305,8 @@ def _roots(path: SymplecticPath, intervals: list) -> list[list[Crossing]]:
     are never root-found.  The root-finds of all groups run in lockstep,
     each its own `_brent_zero`: one `evaluate` and one `graph_angles` per
     iteration serve every live one, and the roots that end in an iteration
-    are classified together (`_crossings_at`, on the Psi of an iterate).
+    are classified together (`_kernels` and `_crossings_at`, on the Psi of
+    their iterates).
     """
     d, eye, seen, groups = path.dim, np.eye(path.dim), {}, []
     for n, samples in enumerate(intervals):
@@ -307,8 +321,9 @@ def _roots(path: SymplecticPath, intervals: list) -> list[list[Crossing]]:
                                      [p for p in pairs if th1[p[1]] <= 0.0 < th0[p[0]]]) if group]
     pending, done = [(g, _brent_zero(*g[1][0][1]), None) for g in groups], []
     while pending or done:
-        taus = [tau for _g, tau in done]
-        for (g, _tau), c in zip(done, _crossings_at(path, taus, [seen[tau] for tau in taus])):
+        # The roots that ended, if any, classified on the Psi of their iterates.
+        taus, psis = [tau for _g, tau in done], np.array([seen[tau] for _g, tau in done])
+        for (g, _tau), c in zip(done, taus and _crossings_at(path, taus, psis, _kernels(psis)[1])):
             g[3].append(c)
             g[2] += c.multiplicity if c is not None else 1  # the sign changes it accounts for
             if g[2] < len(g[1]):
@@ -397,9 +412,11 @@ def _scan_closed(path: SymplecticPath, a: float, b: float, window=None) -> list[
     """All crossings with tau in [a, b] (up to endpoint tolerance), sorted,
     lifted on ``window``, a `flows.phase_window` over [a, b] (None: built here).
 
-    A window end where Psi has a kernel by `_crossings_at`'s rule is a
+    A window end where Psi has a kernel by the rule of `_kernels` is a
     crossing at the end itself, so the list starts with the identity when a
-    is the path's start.  Psi, the lifted phase and the spectra at the ends
+    is the path's start.  One `_kernels` record of Psi at the two ends
+    serves the gate's exact end sigma, the end counts and the end
+    crossings.  Psi, the lifted phase and the spectra at the ends
     of every node interval that `_certified` does not clear come from one
     `_lifted` call; the intervals, with the sub-steps where `phase_window`
     cuts a step, go to `_roots` together, whose root-finds run in lockstep
@@ -414,8 +431,8 @@ def _scan_closed(path: SymplecticPath, a: float, b: float, window=None) -> list[
     window = phase_window(path, a, b) if window is None else window
     ts, base, stride, ends, _lift, subs = window
     last, bound, h = len(ts) - 1, interpolant_bound(path), path.grid_spacing
-    end_sigma = np.linalg.svd(ends - np.eye(path.dim), compute_uv=False)[:, -1]
-    open_, sigma, norms = _open_intervals(path, ts, base, stride, end_sigma, bound)
+    end_sigma, end_mask = _kernels(ends)
+    open_, sigma, norms = _open_intervals(path, ts, base, stride, end_sigma[:, -1], bound)
 
     # Both ends of each open interval and the window ends.
     picks = np.flatnonzero(np.bincount(np.concatenate((open_, open_ + 1, [0, last])),
@@ -423,11 +440,10 @@ def _scan_closed(path: SymplecticPath, a: float, b: float, window=None) -> list[
     psis, phases = _lifted(path, window, ts[picks])
     theta, whole = _spectra(psis, phases)
     marks = np.zeros(theta.shape, dtype=bool)  # the kernel angles at the window ends
-    count, kernel, marks[[0, -1]], _sigma = _counts(theta[[0, -1]], whole[[0, -1]], psis[[0, -1]])
+    count, marks[[0, -1]] = _counts(theta[[0, -1]], whole[[0, -1]], end_mask)
     sample = dict(zip(picks.tolist(), zip(ts[picks], psis, theta, whole, marks)))
 
-    at_end = kernel > 0
-    crossings = _crossings_at(path, np.array([a, b])[at_end].tolist(), psis[[0, -1]][at_end])
+    crossings = [c for c in _crossings_at(path, [a, b], ends, end_mask) if c]
     definite, runs, intervals = path.generator.definiteness != INDEFINITE, [], []
     for k in open_.tolist():
         samples = [sample[k], sample[k + 1]]
@@ -444,7 +460,8 @@ def _scan_closed(path: SymplecticPath, a: float, b: float, window=None) -> list[
         crossings += located
     # `_crossings_at` decides at the middle of each run of bisection pieces.
     if mids := [0.5 * (lo + hi) for lo, hi in runs]:
-        crossings += [c for c in _crossings_at(path, mids, evaluate(path, mids)) if c is not None]
+        mid_psis = evaluate(path, mids)
+        crossings += [c for c in _crossings_at(path, mids, mid_psis, _kernels(mid_psis)[1]) if c]
     crossings.sort(key=lambda c: c.time)
     # Roots closer than TIME_TOL are one crossing: the angles of a multiple
     # eigenvalue at a sample can straddle 0 by rounding, and then one of
@@ -517,11 +534,11 @@ def _index(path: SymplecticPath, window, cuts, policies) -> list[IndexValue]:
         times[0] = min(float(path.times[1]), times[1])
     window = phase_window(path, times[0], times[-1]) if window is None else window
     psis, phases = _lifted(path, window, times)
-    count, kernel, _marks, _sigma = _counts(*_spectra(psis, phases), psis)
+    count, _marks = _counts(*_spectra(psis, phases), masks := _kernels(psis)[1])
     for i, policy in enumerate(policies):
-        if policy == OPEN_OPEN and kernel[i:i + 2].any():
+        if policy == OPEN_OPEN and masks[i:i + 2].any():
             raise EndpointCrossingError(
-                f"crossing at interval endpoint (t={times[i + bool(kernel[i + 1])]:.6f}) "
+                f"crossing at interval endpoint (t={times[i + bool(masks[i + 1].any())]:.6f}) "
                 f"under open_open policy"
             )
     return [IndexValue(half_units=int(count[i] - count[i + 1]),

@@ -122,7 +122,7 @@ def symplectic_expm(a: np.ndarray) -> np.ndarray:
     x = a.reshape(-1, *a.shape[-2:])
     eye = np.eye(a.shape[-1])
     squarings = 0
-    if not np.abs(x).max(axis=0).sum(axis=0).max() <= _THETA_8:  # NaN too
+    if not np.abs(x).max(axis=0, initial=0.0).sum(axis=0).max() <= _THETA_8:  # NaN too
         norms = np.einsum("nij->nj", np.abs(x)).max(axis=-1)
         s = np.ceil(np.log2(np.maximum(norms / _THETA_8, 1.0)))
         squarings = s.max()

@@ -50,6 +50,7 @@ from hoferlab.crossings import (
     _brent_zero,
     _certified,
     _crossings_at,
+    _kernels,
     _scan_closed,
 )
 from hoferlab.flows import _DOMAIN_SLACK, _GAUSS_OFFSETS, _SYMMETRY_TOL, MIN_STEPS, graph_angles
@@ -359,8 +360,8 @@ def sequential_roots(path: SymplecticPath, intervals: list, log: list) -> list[l
                 tau = brent_zero(lambda t, i=i, times=times: angle(t, i, times),
                                  t0, t1, th0[i], th1[j])
                 log.append((t0, t1, times))
-                psi = seen[tau] if tau in seen else evaluate(path, tau)
-                if (c := _crossings_at(path, [tau], [psi])[0]) is not None:
+                psi = (seen[tau] if tau in seen else evaluate(path, tau))[None]
+                if (c := _crossings_at(path, [tau], psi, _kernels(psi)[1])[0]) is not None:
                     found.append(c)
                     used = c.multiplicity - 1
     return out

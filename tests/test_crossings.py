@@ -40,6 +40,7 @@ from tests.oracles import (
     random_indefinite_fourier,
     random_negdef_fourier,
     random_nondegenerate_negdef,
+    random_symplectic,
     sequential_roots,
 )
 
@@ -407,9 +408,8 @@ def test_gate_on_node_bounds_opens_the_exact_intervals(monkeypatch, gram_slack):
     for gen, steps in _definite_generators(rng):
         path = integrate(gen, 0.0, 1.0, steps)
         for a, b in ((0.0, 1.0), (0.3 + 0.1 / steps, 0.8)):
-            ts, base, stride, ends, lift, _subs = phase_window(path, a, b)
-            end_sigma = crossings_module._counts(
-                *crossings_module._spectra(ends, lift[[0, -1]]), ends)[3]
+            ts, base, stride, ends, _lift, _subs = phase_window(path, a, b)
+            end_sigma = crossings_module._kernels(ends)[0][:, -1]
             bound = interpolant_bound(path)
             open_, sigma, norms = crossings_module._open_intervals(
                 path, ts, base, stride, end_sigma, bound)
@@ -468,9 +468,8 @@ def test_span_gate_is_sound(monkeypatch):
     paths += [integrate(random_indefinite_fourier(dim, rng), 0.0, 1.0, 256) for dim in (2, 4, 6)]
     spans = 0
     for path in paths:
-        ts, base, stride, ends, lift, _subs = phase_window(path, 0.0, 1.0)
-        end_sigma = crossings_module._counts(
-            *crossings_module._spectra(ends, lift[[0, -1]]), ends)[3]
+        ts, base, stride, ends, _lift, _subs = phase_window(path, 0.0, 1.0)
+        end_sigma = crossings_module._kernels(ends)[0][:, -1]
         bound = interpolant_bound(path)
         _slope, growth, pade = bound
         for lo, hi in _cleared_spans(path, ts, base, stride, end_sigma, bound):
@@ -826,3 +825,67 @@ def test_definite_generator_law(rng):
             eps = 0.01 if not crossings else 0.5 * crossings[0].time
             iv = rs_index(path, interval=(eps, 1.0))
             assert iv.value == -sum(c.multiplicity for c in crossings)
+
+
+# -- the kernel rule ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_kernels_match_separate_decompositions(dim, rng, monkeypatch):
+    # sigma(Psi - I) and ||Psi||_2 from one SVD call equal the separate
+    # calls bit for bit, and the mask is sigma < KERNEL_RATIO ||Psi||_2.
+    outputs = []
+    svd = np.linalg.svd
+
+    def recorded_svd(*args, **kwargs):
+        outputs.append(svd(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+    for n in (1, 2, 7):
+        psis = np.stack([random_symplectic(dim, rng) for _ in range(n)])
+        outputs.clear()
+        sigma, mask = crossings_module._kernels(psis)
+        assert len(outputs) == 1
+        norm = np.linalg.norm(psis, 2, axis=(1, 2))
+        assert np.array_equal(sigma, svd(psis - np.eye(dim), compute_uv=False))
+        assert np.array_equal(outputs[0][n:, 0], norm)
+        assert np.array_equal(mask, sigma < crossings_module.KERNEL_RATIO * norm[:, None])
+
+
+@pytest.mark.parametrize("stretch", [0.0, 1.5])
+def test_kernel_mask_flips_at_the_threshold(stretch):
+    # A rotation by a tiny angle theta, alone or next to a hyperbolic block:
+    # sigma(Psi - I) is 2 sin(theta / 2) twice, and ||Psi||_2 = e^stretch.
+    # Just below KERNEL_RATIO ||Psi||_2 both are kernel, just above neither.
+    threshold = crossings_module.KERNEL_RATIO * math.exp(stretch)
+    kernels = []
+    for factor in (0.999, 1.001):
+        theta = 2.0 * math.asin(0.5 * factor * threshold)
+        psi = np.diag([1.0, 1.0, math.exp(stretch), math.exp(-stretch)][:4 if stretch else 2])
+        psi[:2, :2] = [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
+        sigma, mask = crossings_module._kernels(psi[None])
+        assert abs(sigma[0, -1] / threshold - factor) < 1e-9
+        kernels.append(int(mask.sum()))
+    assert kernels == [2, 0]
+
+
+@pytest.mark.parametrize("speeds", [(7.0,), (7.0, 7.0), (7.0, 5.0)])
+def test_crossings_at_reads_the_kernel_of_the_full_svd(speeds):
+    # At a multiple crossing the kernel basis is the right singular vectors
+    # of the full SVD whose singular values fall under the rule, and the
+    # signature is the crossing form's on them, as before the mask was
+    # read from `_kernels`.
+    gen = constant_planar(speeds[0])
+    for speed in speeds[1:]:
+        gen = direct_sum(gen, constant_planar(speed))
+    path = integrate(gen, 0.0, 1.0, 2048)
+    (found,) = find_crossings(path, (0.0, 1.0))
+    psi = evaluate(path, found.time)
+    _u, s, vh = np.linalg.svd(psi - np.eye(path.dim))
+    basis = vh[s < crossings_module.KERNEL_RATIO * np.linalg.norm(psi, 2)].T
+    (c,) = crossings_module._crossings_at(path, [found.time], psi[None],
+                                          crossings_module._kernels(psi[None])[1])
+    assert c.multiplicity == basis.shape[1] == 2 * speeds.count(7.0)
+    assert np.array_equal(c.kernel_basis, basis) and np.array_equal(found.kernel_basis, basis)
+    assert c.signature == found.signature == crossing_form(gen(found.time), basis)

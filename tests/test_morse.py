@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -215,6 +216,31 @@ def test_theorem_computes_each_stage_once(monkeypatch):
     assert calls.count("_scan_closed") == 2
     assert calls.count("phase_window") == 2
     assert calls.count(("evaluate", report.epsilon)) == 1
+
+
+def test_theorem_decomposes_each_matrix_once(monkeypatch):
+    # One kernel rule for the scan and the index: sigma(Psi - I) and
+    # ||Psi||_2 of a stack come from one SVD call (`crossings._kernels`),
+    # and the window end Psi(1) is decomposed once per scan.  An ord-2 norm
+    # is a further SVD, so both are counted; `crossings` takes none.
+    scenario = sphere_height_scenario(7.0)
+    calls = []
+    svd, norm = np.linalg.svd, np.linalg.norm
+
+    def counted_svd(*args, **kwargs):
+        calls.append(("svd", sys._getframe(1).f_globals["__name__"]))
+        return svd(*args, **kwargs)
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            calls.append(("norm", sys._getframe(1).f_globals["__name__"]))
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    verify_theorem(scenario, steps=512)
+    assert len(calls) <= 13, calls
+    assert ("norm", "hoferlab.crossings") not in calls
 
 
 def test_theorem_rejects_inadmissible_epsilon():

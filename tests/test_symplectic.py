@@ -220,3 +220,18 @@ def test_symplectic_expm_shortcut_equals_per_matrix_calls(dim, rng, monkeypatch)
             a[7, 0, 1] = bad
             with pytest.raises(ValueError, match="non-finite"):
                 symplectic_expm(a)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_symplectic_expm_empty_stack(dim):
+    # An empty stack exponentiates to an empty stack of its shape; a
+    # non-finite matrix still raises, alone or in a stack.
+    for shape in ((0, dim, dim), (3, 0, dim, dim)):
+        out = symplectic_expm(np.zeros(shape))
+        assert out.shape == shape and out.dtype == float
+    for bad in (np.nan, np.inf, -np.inf):
+        a = np.zeros((1, dim, dim))
+        a[0, -1, 0] = bad
+        for x in (a, a[0]):
+            with pytest.raises(ValueError, match="non-finite"):
+                symplectic_expm(x)
