@@ -37,7 +37,6 @@ from .flows import (
     POSITIVE_DEFINITE,
     HessianPath,
     SymplecticPath,
-    direct_sum,
     evaluate,
     integrate,
 )
@@ -75,7 +74,7 @@ __all__ = [
     "symplectic_expm", "hamiltonian_vector_field_selftest",
     # flows
     "DEFAULT_STEPS", "NEGATIVE_DEFINITE", "POSITIVE_DEFINITE", "INDEFINITE",
-    "HessianPath", "SymplecticPath", "integrate", "evaluate", "direct_sum",
+    "HessianPath", "SymplecticPath", "integrate", "evaluate",
     # crossings
     "OPEN_OPEN", "RS_HALVES", "Crossing", "IndexValue", "find_crossings",
     "crossing_form", "rs_index",

@@ -37,7 +37,6 @@ __all__ = [
     "SymplecticPath",
     "integrate",
     "evaluate",
-    "direct_sum",
     "graph_phase",
     "graph_angles",
     "phase_window",
@@ -135,9 +134,8 @@ class HessianPath:
       not-a-knot cubic spline fitted and evaluated entry by entry, so every
       S(t) is exactly symmetric (see `_spline_coefficients`).
 
-    Transforms map each matrix of the stack.  Built once per generator, by
-    its kind's compiler at construction (`negated` reuses all of it, with
-    the stack and the planes negated):
+    Built once per generator, by its kind's compiler at construction
+    (`negated` shares all of it and negates the basis values):
 
     * the basis and the planes: S(t) = sum_j b_j(t) B_j, with b = 1 for a
       constant, (1, cos, sin) for Fourier, and (1, s, s^2, s^3),
@@ -215,40 +213,20 @@ class HessianPath:
 
     def negated(self) -> "HessianPath":
         """The generator -S(t), e.g. to treat a minimizer as a maximizer of -H.
-        The same compiled generator with its stack, planes and J B_j negated:
-        the basis, the commutators of the step table and the bounds hold as
-        they are and the definiteness swaps.  A spline's constant plane is
-        re-based at +0.0 (`_spline_coefficients`), so the values are those
-        of the generator built from the negated stack, bit for bit."""
+        A shallow copy that shares the planes and the step table and whose
+        basis returns (i, -b): S(t) and the linear weights of a step exponent
+        are linear in the basis values, and (-b) x equals b (-x) bit for bit,
+        zero signs included, so the values and step exponents are those of
+        the generator built from the negated stack.  The commutator weights
+        are products of two basis values and do not change; the bounds hold
+        as they are and the definiteness swaps."""
         neg = copy.copy(self)
         neg.stack = np.negative(self.stack)
         neg.stack.flags.writeable = False
-        neg._planes, neg._lin = np.negative(self._planes), np.negative(self._lin)
-        if self.kind == "sampled":  # its values start at +0.0, as the fit's do
-            neg._planes[:, 0] = 0.0 - self._planes[:, 0]
+        basis = self._basis
+        neg._basis = lambda t: (lambda i, b: (i, -b))(*basis(t))
         neg.definiteness = _NEGATED.get(self.definiteness, INDEFINITE)
         return neg
-
-    def congruent(self, c) -> "HessianPath":
-        """The congruent generator c^T S(t) c (used for conjugation invariance)."""
-        c = np.asarray(c, dtype=float)
-        if c.shape != (self.dim, self.dim):
-            raise ValueError("congruence matrix shape mismatch")
-        return HessianPath(self.kind, [c.T @ m @ c for m in self.stack], self.n_cos)
-
-    def to_payload(self) -> dict:
-        """JSON-serializable description (used by scenario files and reports)."""
-        if self.kind == "constant":
-            return {"kind": "constant", "matrix": self.stack[0].tolist()}
-        if self.kind == "fourier":
-            s0, cos, sin = _fourier_parts(self.stack, self.n_cos)
-            return {
-                "kind": "fourier",
-                "s0": s0.tolist(),
-                "cos": [a.tolist() for a in cos],
-                "sin": [b.tolist() for b in sin],
-            }
-        return {"kind": "sampled", "values": self.stack.tolist()}
 
     @classmethod
     def from_payload(cls, doc: dict) -> "HessianPath":
@@ -266,11 +244,6 @@ class HessianPath:
         raise ValueError(f"unknown generator kind {kind!r}")
 
 
-def _fourier_parts(stack: np.ndarray, n_cos: int):
-    """(S0, cosine terms, sine terms) of a constant or Fourier stack."""
-    return stack[0], stack[1:1 + n_cos], stack[1 + n_cos:]
-
-
 # Each compiler returns five things; `HessianPath.__init__` is its one caller:
 # * the basis t -> (i, b) for a float array t of any shape: the knot
 #   interval i (shape t.shape) and the basis values b (shape (P,) + t.shape),
@@ -284,8 +257,10 @@ def _fourier_parts(stack: np.ndarray, n_cos: int):
 
 def _values(i: np.ndarray, b: np.ndarray, planes: np.ndarray) -> np.ndarray:
     """S(t) = sum_j b_j(t) planes[i(t), j] from the basis (i, b) at times t,
-    summed in stack order; the first term is 1.0 B_0 = B_0 for every kind."""
-    out = b[0, ..., None, None] * planes[i, 0]
+    summed in stack order from +0.0, as scipy's spline evaluation sums.  So
+    no entry of a value is -0.0, and negated basis values give the values of
+    negated planes bit for bit, zero signs included (`HessianPath.negated`)."""
+    out = b[0, ..., None, None] * planes[i, 0] + 0.0
     for j in range(1, planes.shape[1]):
         out += b[j, ..., None, None] * planes[i, j]
     return out
@@ -336,7 +311,8 @@ def _spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     coefficients of ``CubicHermiteSpline``.  On uniform knots ``dgtsv``
     never interchanges (``|D[i]| >= |DL[i]|`` at every step), so its fill-in
     diagonal stays zero; its term in the back substitution is dropped, which
-    could change only the sign of a zero slope.
+    could change only the sign of a zero slope.  ``c[0]`` is y itself;
+    scipy's evaluation starts its sum at +0.0, and so does `_values`.
     """
     dx = np.diff(x)
     dxr = dx[:, None]
@@ -358,8 +334,7 @@ def _spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         rows[i] -= np.multiply(upper[i], rows[i + 1], out=tmp)
         rows[i] /= diag[i]
     t = (b[:-1] + b[1:] - 2 * slope) / dxr
-    # 0.0 + y: scipy's evaluation starts its sum at +0.0.
-    c = np.stack((0.0 + flat[:-1], b[:-1], (slope - b[:-1]) / dxr - t, t / dxr))
+    c = np.stack((flat[:-1], b[:-1], (slope - b[:-1]) / dxr - t, t / dxr))
     return c.reshape((4, len(x) - 1) + y.shape[1:])
 
 
@@ -411,32 +386,6 @@ def _certified_spectrum(samples: np.ndarray, slack) -> tuple[str, float]:
     return (POSITIVE_DEFINITE if bottom > _DEFINITENESS_DELTA else INDEFINITE), bound
 
 
-def direct_sum(a: HessianPath, b: HessianPath) -> HessianPath:
-    """Block-diagonal join of two generators (phase spaces concatenate)."""
-
-    def join(ma, mb):
-        da = ma.shape[-1]
-        out = np.zeros(ma.shape[:-2] + (da + mb.shape[-1],) * 2)
-        out[..., :da, :da] = ma
-        out[..., da:, da:] = mb
-        return out
-
-    if "sampled" not in (a.kind, b.kind):
-        sa, cos_a, sin_a = _fourier_parts(a.stack, a.n_cos)
-        sb, cos_b, sin_b = _fourier_parts(b.stack, b.n_cos)
-        if a.kind == b.kind == "constant":
-            return HessianPath.constant(join(sa, sb))
-        za = np.zeros((a.dim, a.dim))
-        zb = np.zeros((b.dim, b.dim))
-        kmax = max(len(cos_a), len(cos_b), len(sin_a), len(sin_b))
-        pad = lambda terms, z, k: terms[k] if k < len(terms) else z
-        cos = [join(pad(cos_a, za, k), pad(cos_b, zb, k)) for k in range(kmax)]
-        sin = [join(pad(sin_a, za, k), pad(sin_b, zb, k)) for k in range(kmax)]
-        return HessianPath.fourier(join(sa, sb), cos, sin)
-    grid = np.linspace(0.0, 1.0, 2049)
-    return HessianPath.sampled(join(a(grid), b(grid)))
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -456,7 +405,8 @@ class SymplecticPath:
     reused buffers, and the per-node tolerances only in a block whose
     largest residual exceeds 1e-9; the gate raises at the first node over
     its tolerance.  It keeps ``end_sigma``, the singular values of
-    Psi(t_end) - I (descending), where nondegeneracy is decided; node sigma
+    Psi(t_end) - I (descending), and ``end_norm``, ||Psi(t_end)||_2, from
+    one SVD call: nondegeneracy is decided from both.  Node sigma
     bounds (`sigma_min_nodes`) and graph phases (`graph_phase`) are computed
     on demand, where the scan reads them.
     Instances are immutable by convention and thread-safe.
@@ -470,6 +420,7 @@ class SymplecticPath:
     generator: HessianPath
     max_symplectic_residual: float = field(init=False)
     end_sigma: np.ndarray = field(init=False, repr=False)
+    end_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if not np.isfinite(self.matrices).all():
@@ -503,7 +454,11 @@ class SymplecticPath:
                     raise IntegrationError(f"symplectic residual {defect[i]:.3e} exceeds 1e-9 max(1, "
                                            f"max|Psi|^2) = {tol[i]:.3e} at node {lo + i}")
             self.max_symplectic_residual = max(self.max_symplectic_residual, top)
-        self.end_sigma = np.linalg.svd(self.matrices[-1] - np.eye(self.dim), compute_uv=False)
+        # One SVD call on the stack (Psi(t_end) - I, Psi(t_end)); LAPACK works
+        # per matrix, so both have the bits of separate calls.
+        end = self.matrices[-1]
+        sv = np.linalg.svd(np.stack((end - np.eye(self.dim), end)), compute_uv=False)
+        self.end_sigma, self.end_norm = sv[0], float(sv[1, 0])
 
     @property
     def grid_spacing(self) -> float:

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .crossings import (ENDPOINT_TOL, OPEN_OPEN, RS_HALVES, Crossing, IndexValue, _index,
                         _scan_closed, find_crossings)
 from .errors import (
@@ -39,11 +37,11 @@ DEGENERACY_RATIO = 1e-6
 def check_nondegenerate(path: SymplecticPath) -> bool:
     """True when the endpoint flow has no eigenvalue 1.
 
-    Tests sigma_min(Psi(t_end) - I) against 1e-6 * ||Psi(t_end)||, i.e.
-    nondegeneracy in the Floer sense at the final time.
+    Tests sigma_min(Psi(t_end) - I) against 1e-6 * ||Psi(t_end)||_2, i.e.
+    nondegeneracy in the Floer sense at the final time; both come from the
+    path's one end SVD (``end_sigma``, ``end_norm``).
     """
-    smin = float(path.end_sigma[-1])
-    return smin > DEGENERACY_RATIO * float(np.linalg.norm(path.matrices[-1], 2))
+    return float(path.end_sigma[-1]) > DEGENERACY_RATIO * path.end_norm
 
 
 def _epsilon(crossings: list[Crossing]) -> float:

@@ -7,8 +7,10 @@ that select the tests meant to kill it.  Each mutant runs on its own copy
 of `src/` in a temporary directory, with ``PYTHONPATH`` pointing at the
 copy.  Run from the repository root as ``python -m tests.mutants [name ...]``
 (all mutants by default).  It prints a kill matrix, one line per mutant, and
-exits 1 when a mutant survives.  It is not part of Tier-1: a run takes
-about a minute on two cores.
+exits 1 when a mutant survives.  The tests run under the ``mutants``
+hypothesis profile (`tests/conftest.py`), which reports a failing example
+without shrinking it.  It is not part of Tier-1: a run takes about a
+minute and a half on two cores.
 """
 
 from __future__ import annotations
@@ -34,9 +36,7 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest arguments
 
 
-# The hypothesis tests of `test_crossings` would shrink a kill for minutes.
-_KERNEL_TESTS = ("tests/test_crossings.py", "-k",
-                 "not rs_index_matches_cayley_index and not concatenation_random_paths")
+_KERNEL_TESTS = ("tests/test_crossings.py",)
 _FLOW_TESTS = ("tests/test_flows.py",)
 
 MUTANTS = (
@@ -55,6 +55,21 @@ MUTANTS = (
     Mutant("commutator_weight_sign_flipped", "flows.py",
            "h * h * (b2[k] * b1[j] - b2[j] * b1[k])", "h * h * (b2[j] * b1[k] - b2[k] * b1[j])",
            _FLOW_TESTS),
+    # A spline step whose Gauss nodes straddle a knot is read from one interval's table.
+    Mutant("knot_straddle_branch_disabled", "flows.py",
+           "if len(lin) > 1 and len(cut := (i[0] != i[1]).nonzero()[0]):",
+           "if False and len(lin) > 1 and len(cut := (i[0] != i[1]).nonzero()[0]):", _FLOW_TESTS),
+    # The negation shares the compiled table: its basis values carry the sign,
+    # and the values start at +0.0 so their zero signs are those of the
+    # generator built from the negated stack (`HessianPath.negated`, `flows._values`).
+    Mutant("negation_basis_sign_dropped", "flows.py",
+           "(lambda i, b: (i, -b))", "(lambda i, b: (i, b))", _FLOW_TESTS),
+    Mutant("values_plus_zero_start_dropped", "flows.py",
+           "planes[i, 0] + 0.0", "planes[i, 0]", _FLOW_TESTS),
+    # `verify_theorem` scans the maximizer's path for the minimizer side.
+    Mutant("minimizer_side_integrates_s_max", "morse.py",
+           "path_min = integrate(scenario.S_min.negated(),",
+           "path_min = integrate(scenario.S_max,", ("tests/test_golden.py",)),
 )
 
 
@@ -76,7 +91,7 @@ def run(mutant: Mutant) -> tuple[str, str]:
         target.write_text(target.read_text().replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH=str(copy), PYTHONDONTWRITEBYTECODE="1")
         done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                               "-o", "addopts=", *mutant.tests],
+                               "-o", "addopts=", "--hypothesis-profile=mutants", *mutant.tests],
                               cwd=ROOT, env=env, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     summary = lines[-1] if lines else done.stderr.strip()[-200:]

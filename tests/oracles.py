@@ -10,7 +10,8 @@ and (in dimension 2) from the winding of the eigenvalue angle.
 reproduce (to 1e-12 relative per node), `magnus_exponent` the step exponent
 from checked generator values that the step table must reproduce (to 1e-14
 relative), `symplectic_inverse` inverts a symplectic matrix as -J M^T J,
-`restrict` re-bases a path on a sub-window, `constant_flow` is
+`restrict` re-bases a path on a sub-window, `direct_sum`, `congruent`
+and `to_payload` join, transform and serialize generators, `constant_flow` is
 the closed form exp(t J S) of a constant generator, from scipy's `expm` and
 independent of the package's Taylor map, `refinement_orders` the observed
 order of `integrate` under step doubling against a fine run, `frame_phase`
@@ -122,6 +123,63 @@ def aliased_spline() -> HessianPath:
     values = np.stack([-np.eye(2)] * 1025)
     values[3] = -100.0 * np.eye(2)
     return HessianPath.sampled(values)
+
+
+def _fourier_parts(stack: np.ndarray, n_cos: int):
+    """(S0, cosine terms, sine terms) of a constant or Fourier stack."""
+    return stack[0], stack[1:1 + n_cos], stack[1 + n_cos:]
+
+
+def direct_sum(a: HessianPath, b: HessianPath) -> HessianPath:
+    """Block-diagonal join of two generators (phase spaces concatenate): a
+    constant or Fourier generator when neither is sampled, else a spline
+    through both at 2049 knots."""
+
+    def join(ma, mb):
+        da = ma.shape[-1]
+        out = np.zeros(ma.shape[:-2] + (da + mb.shape[-1],) * 2)
+        out[..., :da, :da] = ma
+        out[..., da:, da:] = mb
+        return out
+
+    if "sampled" not in (a.kind, b.kind):
+        sa, cos_a, sin_a = _fourier_parts(a.stack, a.n_cos)
+        sb, cos_b, sin_b = _fourier_parts(b.stack, b.n_cos)
+        if a.kind == b.kind == "constant":
+            return HessianPath.constant(join(sa, sb))
+        za = np.zeros((a.dim, a.dim))
+        zb = np.zeros((b.dim, b.dim))
+        kmax = max(len(cos_a), len(cos_b), len(sin_a), len(sin_b))
+        pad = lambda terms, z, k: terms[k] if k < len(terms) else z
+        cos = [join(pad(cos_a, za, k), pad(cos_b, zb, k)) for k in range(kmax)]
+        sin = [join(pad(sin_a, za, k), pad(sin_b, zb, k)) for k in range(kmax)]
+        return HessianPath.fourier(join(sa, sb), cos, sin)
+    grid = np.linspace(0.0, 1.0, 2049)
+    return HessianPath.sampled(join(a(grid), b(grid)))
+
+
+def congruent(gen: HessianPath, c) -> HessianPath:
+    """The congruent generator c^T S(t) c (used for conjugation invariance)."""
+    c = np.asarray(c, dtype=float)
+    if c.shape != (gen.dim, gen.dim):
+        raise ValueError("congruence matrix shape mismatch")
+    return HessianPath(gen.kind, [c.T @ m @ c for m in gen.stack], gen.n_cos)
+
+
+def to_payload(gen: HessianPath) -> dict:
+    """The JSON description of a generator that `HessianPath.from_payload`
+    reads (the ``s_max`` and ``s_min`` of a scenario file)."""
+    if gen.kind == "constant":
+        return {"kind": "constant", "matrix": gen.stack[0].tolist()}
+    if gen.kind == "fourier":
+        s0, cos, sin = _fourier_parts(gen.stack, gen.n_cos)
+        return {
+            "kind": "fourier",
+            "s0": s0.tolist(),
+            "cos": [a.tolist() for a in cos],
+            "sin": [b.tolist() for b in sin],
+        }
+    return {"kind": "sampled", "values": gen.stack.tolist()}
 
 
 def _sym(m: np.ndarray) -> np.ndarray:

@@ -17,7 +17,6 @@ from hoferlab import (
     HessianPath,
     IrregularCrossingError,
     crossing_form,
-    direct_sum,
     evaluate,
     find_crossings,
     integrate,
@@ -35,6 +34,7 @@ from tests.oracles import (
     constant_planar,
     crossing_form_index,
     crossing_times,
+    direct_sum,
     exact_gate,
     planar_winding_index,
     random_indefinite_fourier,

@@ -20,7 +20,6 @@ import hoferlab
 from hoferlab import (
     HessianPath,
     IntegrationError,
-    direct_sum,
     evaluate,
     integrate,
     standard_structure,
@@ -44,8 +43,10 @@ from tests.oracles import (
     aliased_fourier,
     aliased_spline,
     block_flow,
+    congruent,
     constant_flow,
     constant_planar,
+    direct_sum,
     frame_phase,
     integrate_stepwise,
     magnus_exponent,
@@ -56,6 +57,7 @@ from tests.oracles import (
     random_symplectic,
     refinement_orders,
     restrict,
+    to_payload,
 )
 
 
@@ -173,8 +175,8 @@ def test_payload_roundtrip(rng):
     uneven = HessianPath.fourier(-5.0 * np.eye(2), [0.5 * np.eye(2)],
                                  [np.diag([0.3, -0.2]), 0.1 * np.eye(2), np.eye(2)[::-1]])
     for gen in (random_negdef_fourier(4, rng), uneven):
-        clone = HessianPath.from_payload(gen.to_payload())
-        assert clone.to_payload() == gen.to_payload()
+        clone = HessianPath.from_payload(to_payload(gen))
+        assert to_payload(clone) == to_payload(gen)
         for t in (0.0, 0.31, 0.99):
             assert np.allclose(gen(t), clone(t), atol=1e-15)
 
@@ -192,7 +194,7 @@ _SYM4 = np.array([[0.0, 1.0, 0.0, 0.5], [1.0, -1.0, 0.0, 0.0],
 def test_transforms_keep_kind_and_values(gen):
     c = np.array([[1.0, 0.2, 0.0, 0.0], [0.0, 1.0, 0.0, 0.3],
                   [0.5, 0.0, 2.0, 0.0], [0.0, 0.0, 0.1, 1.0]])
-    neg, cong = gen.negated(), gen.congruent(c)
+    neg, cong = gen.negated(), congruent(gen, c)
     assert neg.kind == cong.kind == gen.kind
     # The negation keeps the bounds and swaps the tag without recomputing
     # them, as a generator built from the negated stack computes them.
@@ -380,9 +382,9 @@ def test_runtime_loads_no_scipy():
     # The package needs only numpy at run time; scipy is a test dependency.
     code = (
         "import numpy as np, hoferlab, hoferlab.cli\n"
-        "from hoferlab import HessianPath, direct_sum, quadratic_scenario, verify_theorem\n"
+        "from hoferlab import HessianPath, quadratic_scenario, verify_theorem\n"
         "gen = HessianPath.sampled([-(5.0 + t) * np.eye(2) for t in np.linspace(0, 1, 9)])\n"
-        "direct_sum(gen, HessianPath.constant(-3.0 * np.eye(2)))(0.3)\n"
+        "HessianPath.sampled(gen(np.linspace(0, 1, 2049)))(0.3)\n"
         "scn = quadratic_scenario(gen, gen.negated(), lambda t: 1.0, lambda t: -1.0)\n"
         "assert verify_theorem(scn, steps=256).verdict\n"
         "assert verify_theorem(hoferlab.sphere_height_scenario(7.0), steps=256).verdict\n"
@@ -598,9 +600,10 @@ def test_straddling_steps_match_value_exponents_bit_for_bit(dim, knots, negate, 
                                   "spline_10_straddling", "direct_sum_2049", "direct_sum_fourier"])
 @pytest.mark.parametrize("dim", [2, 4, 6])
 def test_negated_reuses_the_compiled_generator(dim, case, rng, monkeypatch):
-    # `negated` compiles nothing, yet its values (zero signs included), nodes,
-    # bounds and tag are those of the generator built from the negated stack;
-    # the direct sums hold zero blocks.
+    # `negated` compiles nothing and shares the compiled table, writing none
+    # of it, yet its values (zero signs included), nodes, bounds and tag are
+    # those of the generator built from the negated stack, and a second
+    # negation gives the generator's own; the direct sums hold zero blocks.
     if case == "direct_sum_fourier":
         gen, steps = direct_sum(random_negdef_fourier(dim, rng), constant_planar(2.0)), 512
     else:
@@ -609,16 +612,25 @@ def test_negated_reuses_the_compiled_generator(dim, case, rng, monkeypatch):
     for kind, compile_ in list(hoferlab.flows._COMPILERS.items()):
         monkeypatch.setitem(hoferlab.flows._COMPILERS, kind,
                             lambda *args, c=compile_: calls.append(args) or c(*args))
+    compiled = (gen._planes, gen._lin, gen._comm)
+    for table in compiled:
+        table.flags.writeable = False
     neg = gen.negated()
+    twice = neg.negated()
     assert calls == []
+    for copy_ in (neg, twice):
+        assert all(a is b for a, b in zip((copy_._planes, copy_._lin, copy_._comm), compiled))
     rebuilt = HessianPath(gen.kind, -gen.stack, gen.n_cos)
     assert len(calls) == 1
     t = np.concatenate((rng.uniform(0.0, 1.0, 500), np.linspace(0.0, 1.0, 2 * len(gen.stack) - 1)))
     assert np.array_equal(neg(t).view(np.int64), rebuilt(t).view(np.int64))
+    assert np.array_equal(twice(t).view(np.int64), gen(t).view(np.int64))
     assert (neg.norm_bound, neg.slope_bound, neg.definiteness) == (
         rebuilt.norm_bound, rebuilt.slope_bound, rebuilt.definiteness)
     assert (integrate(neg, 0.0, 1.0, steps).matrices.tobytes()
             == integrate(rebuilt, 0.0, 1.0, steps).matrices.tobytes())
+    assert (integrate(twice, 0.0, 1.0, steps).matrices.tobytes()
+            == integrate(gen, 0.0, 1.0, steps).matrices.tobytes())
 
 
 @pytest.mark.parametrize("case", ["fourier", "constant", "spline_257_aligned",

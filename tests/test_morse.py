@@ -13,7 +13,6 @@ from hoferlab import (
     IrregularCrossingError,
     admissible_epsilon,
     check_nondegenerate,
-    direct_sum,
     find_crossings,
     integrate,
     morse_index,
@@ -25,6 +24,7 @@ from hoferlab import (
 from tests.oracles import (
     TWO_PI,
     constant_planar,
+    direct_sum,
     full_turns,
     random_nondegenerate_negdef,
 )
@@ -75,6 +75,17 @@ def test_degenerate_full_rotation():
 def test_degenerate_zero_generator():
     path = integrate(HessianPath.constant(np.zeros((2, 2))), 0.0, 1.0, 64)
     assert not check_nondegenerate(path)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_end_sigma_and_norm_match_separate_decompositions(dim, rng):
+    # sigma(Psi(1) - I) and ||Psi(1)||_2, read by `check_nondegenerate`, come
+    # from one SVD call with the bits of the separate calls.
+    for _ in range(5):
+        _gen, path = random_nondegenerate_negdef(dim, rng, steps=128)
+        end = path.matrices[-1]
+        assert np.array_equal(path.end_sigma, np.linalg.svd(end - np.eye(dim), compute_uv=False))
+        assert path.end_norm == np.linalg.norm(end, 2)
 
 
 # -- morse_index -----------------------------------------------------------------
@@ -220,9 +231,10 @@ def test_theorem_computes_each_stage_once(monkeypatch):
 
 def test_theorem_decomposes_each_matrix_once(monkeypatch):
     # One kernel rule for the scan and the index: sigma(Psi - I) and
-    # ||Psi||_2 of a stack come from one SVD call (`crossings._kernels`),
-    # and the window end Psi(1) is decomposed once per scan.  An ord-2 norm
-    # is a further SVD, so both are counted; `crossings` takes none.
+    # ||Psi||_2 of a stack come from one SVD call (`crossings._kernels`,
+    # and `SymplecticPath` for Psi(1), whose norm `check_nondegenerate`
+    # reads), and the window end Psi(1) is decomposed once per scan.  An
+    # ord-2 norm is a further SVD, so both are counted; none is left.
     scenario = sphere_height_scenario(7.0)
     calls = []
     svd, norm = np.linalg.svd, np.linalg.norm
@@ -239,8 +251,8 @@ def test_theorem_decomposes_each_matrix_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(np.linalg, "norm", counted_norm)
     verify_theorem(scenario, steps=512)
-    assert len(calls) <= 13, calls
-    assert ("norm", "hoferlab.crossings") not in calls
+    assert len(calls) <= 11, calls
+    assert not [call for call in calls if call[0] == "norm"], calls
 
 
 def test_theorem_rejects_inadmissible_epsilon():
