@@ -30,16 +30,15 @@ from .errors import (
     HoferLabError,
     ScenarioValidationError,
 )
-from .flows import DEFAULT_STEPS, MIN_STEPS, HessianPath, integrate
+from .flows import DEFAULT_STEPS, MIN_STEPS, HessianPath
 from .models import (
     Scenario,
     hofer_lengths,
     quadratic_scenario,
     sphere_height_scenario,
     sphere_profile_scenario,
-    validate_ustilovsky,
 )
-from .morse import verify_theorem
+from .morse import _sides, verify_theorem
 from .symplectic import hamiltonian_vector_field_selftest, standard_structure
 
 EXIT_OK = 0
@@ -229,11 +228,9 @@ def _sweep_row(doc: dict, parameter: str, value, steps_override) -> dict:
         except ValueError:  # lambda = 0 has no extremal pair
             row["status"] = "invalid"
             return row
-    elif parameter == "steps":
+    else:  # "steps"; argparse admits no other parameter
         scenario = _build_scenario(doc)
         steps = int(value)
-    else:
-        raise _ParseFailure(f"unknown sweep parameter {parameter!r}")
     try:
         report = verify_theorem(scenario, steps=steps)
     except DegenerateEndpointError:
@@ -267,19 +264,15 @@ def _cmd_sweep(args) -> int:
 # plot
 
 
-def _svg_plot(scenario: Scenario, steps: int) -> str:
+def _svg_plot(name: str, sides: dict) -> str:
     width, height = 900.0, 460.0
     left, right, top, bottom = 70.0, 20.0, 40.0, 50.0
     plot_w = width - left - right
     plot_h = height - top - bottom
 
-    paths = {
-        "max side": integrate(scenario.S_max, 0.0, 1.0, steps),
-        "min side": integrate(scenario.S_min.negated(), 0.0, 1.0, steps),
-    }
-    colors = {"max side": "#1f6fb2", "min side": "#c24f1d"}
+    colors = {"max": "#1f6fb2", "min": "#c24f1d"}
     curves = {}
-    for label, p in paths.items():
+    for label, p in sides.items():
         stride = max(1, (len(p.times) - 1) // 1024)
         diff = p.matrices[::stride] - np.eye(p.dim)
         curves[label] = (p.times[::stride], np.linalg.svd(diff, compute_uv=False)[:, -1])
@@ -296,7 +289,7 @@ def _svg_plot(scenario: Scenario, steps: int) -> str:
         f'viewBox="0 0 {width:.0f} {height:.0f}">',
         '<rect width="100%" height="100%" fill="white"/>',
         f'<text x="{left:.1f}" y="24" font-family="monospace" font-size="14">'
-        f"sigma_min(Psi(t) - I) for {scenario.name}</text>",
+        f"sigma_min(Psi(t) - I) for {name}</text>",
     ]
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         x = sx(frac)
@@ -320,10 +313,10 @@ def _svg_plot(scenario: Scenario, steps: int) -> str:
         out.append(f'<line x1="{left + 10:.1f}" y1="{legend_y:.1f}" x2="{left + 40:.1f}" '
                    f'y2="{legend_y:.1f}" stroke="{colors[label]}" stroke-width="2"/>')
         out.append(f'<text x="{left + 46:.1f}" y="{legend_y + 4:.1f}" '
-                   f'font-family="monospace" font-size="12">{label}</text>')
+                   f'font-family="monospace" font-size="12">{label} side</text>')
         legend_y += 16
 
-    for label, p in paths.items():
+    for label, p in sides.items():
         for c in find_crossings(p, (0.0, 1.0)):
             x = sx(c.time)
             out.append(f'<line x1="{x:.2f}" y1="{top:.1f}" x2="{x:.2f}" '
@@ -340,10 +333,8 @@ def _cmd_plot(args) -> int:
     doc, _digest = _load_document(args.scenario)
     steps = _doc_steps(doc, args.steps)
     scenario = _build_scenario(doc)
-    violations = validate_ustilovsky(scenario)
-    if violations:
-        raise ScenarioValidationError(violations)
-    _emit(_svg_plot(scenario, steps), args.output)
+    # Validation errors map to an exit code in `main`.
+    _emit(_svg_plot(scenario.name, _sides(scenario, steps)), args.output)
     return EXIT_OK
 
 

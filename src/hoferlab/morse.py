@@ -145,6 +145,23 @@ class IndexReport:
         return {key: _json_value(getattr(self, key)) for key in _REPORT_KEYS}
 
 
+def _sides(scenario, steps: int) -> dict[str, SymplecticPath]:
+    """Validate ``scenario`` and integrate the identity's two sides on
+    [0, 1]: "max" is the flow of S_max, "min" that of -S_min (the minimizer
+    is a maximizer of -H).  `verify_theorem` and ``hoferlab plot`` both
+    read the sides from here.
+
+    Raises ScenarioValidationError for structurally invalid scenarios.
+    """
+    from .models import validate_ustilovsky
+
+    violations = validate_ustilovsky(scenario)
+    if violations:
+        raise ScenarioValidationError(violations)
+    return {side: integrate(gen, 0.0, 1.0, steps)
+            for side, gen in (("max", scenario.S_max), ("min", scenario.S_min.negated()))}
+
+
 def verify_theorem(scenario, steps: int | None = None, epsilon: float | None = None) -> IndexReport:
     """Check the Morse-index / Conley-Zehnder identity on a scenario.
 
@@ -158,18 +175,11 @@ def verify_theorem(scenario, steps: int | None = None, epsilon: float | None = N
     Raises ScenarioValidationError for structurally invalid scenarios and
     DegenerateEndpointError when either side's time-1 flow has eigenvalue 1.
     """
-    from .models import validate_ustilovsky
-
-    violations = validate_ustilovsky(scenario)
-    if violations:
-        raise ScenarioValidationError(violations)
-    steps = DEFAULT_STEPS if steps is None else int(steps)
-
-    path_max = integrate(scenario.S_max, 0.0, 1.0, steps)
-    path_min = integrate(scenario.S_min.negated(), 0.0, 1.0, steps)
-    for p, side in ((path_max, "max"), (path_min, "min")):
+    sides = _sides(scenario, DEFAULT_STEPS if steps is None else steps)
+    for side, p in sides.items():
         if not check_nondegenerate(p):
             raise DegenerateEndpointError(f"degenerate at t=1 ({side} side)")
+    path_max, path_min = sides["max"], sides["min"]
 
     # One scan per side feeds the Morse counts and epsilon; the CZ values
     # are read from the maximizer's graph-phase lift, which locates no

@@ -9,8 +9,9 @@ copy.  Run from the repository root as ``python -m tests.mutants [name ...]``
 (all mutants by default).  It prints a kill matrix, one line per mutant, and
 exits 1 when a mutant survives.  The tests run under the ``mutants``
 hypothesis profile (`tests/conftest.py`), which reports a failing example
-without shrinking it.  It is not part of Tier-1: a run takes about a
-minute and a half on two cores.
+without shrinking it, and with hypothesis's storage directory in the
+temporary directory, so a run writes nothing into the checkout.  It is not
+part of Tier-1: a run takes about two minutes on two cores.
 """
 
 from __future__ import annotations
@@ -66,10 +67,29 @@ MUTANTS = (
            "(lambda i, b: (i, -b))", "(lambda i, b: (i, b))", _FLOW_TESTS),
     Mutant("values_plus_zero_start_dropped", "flows.py",
            "planes[i, 0] + 0.0", "planes[i, 0]", _FLOW_TESTS),
-    # `verify_theorem` scans the maximizer's path for the minimizer side.
+    # The node gate of `SymplecticPath.__post_init__` works per block of
+    # nodes: every block is gated, each node's tolerance scales with its
+    # max|Psi|^2, an error names the node's index in the path, and the
+    # largest residual is the maximum over all blocks.
+    Mutant("gate_node_index_without_block_offset", "flows.py",
+           "at node {lo + i}", "at node {i}", _FLOW_TESTS),
+    Mutant("gate_only_first_block", "flows.py",
+           "range(0, max(len(self.times) - 1, 1), _BLOCK_STEPS)",
+           "range(0, min(len(self.times) - 1, 1), _BLOCK_STEPS)", _FLOW_TESTS),
+    Mutant("gate_absolute_tolerance_after_first_block", "flows.py",
+           "np.abs(m).max(axis=(1, 2)) ** 2)", "np.abs(m).max(axis=(1, 2)) ** 2 * (lo == 0))",
+           _FLOW_TESTS),
+    Mutant("gate_running_max_dropped", "flows.py",
+           "= max(self.max_symplectic_residual, top)", "= top", _FLOW_TESTS),
+    # `symplectic_expm` skips the per-matrix norms when one bound over the
+    # whole stack clears theta_8.
+    Mutant("expm_shortcut_bound_from_first_matrix", "symplectic.py",
+           "np.abs(x).max(axis=0", "np.abs(x[:1]).max(axis=0", ("tests/test_symplectic.py",)),
+    # `morse._sides` integrates S_max for the minimizer side, in `verify`
+    # and in `plot` alike.
     Mutant("minimizer_side_integrates_s_max", "morse.py",
-           "path_min = integrate(scenario.S_min.negated(),",
-           "path_min = integrate(scenario.S_max,", ("tests/test_golden.py",)),
+           '("min", scenario.S_min.negated())', '("min", scenario.S_max)',
+           ("tests/test_golden.py",)),
 )
 
 
@@ -89,7 +109,10 @@ def run(mutant: Mutant) -> tuple[str, str]:
         shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
         target = copy / "hoferlab" / mutant.file
         target.write_text(target.read_text().replace(mutant.old, mutant.new))
-        env = dict(os.environ, PYTHONPATH=str(copy), PYTHONDONTWRITEBYTECODE="1")
+        # Hypothesis keeps its storage (failing-example patches, constants)
+        # in the temporary directory, not in the checkout.
+        env = dict(os.environ, PYTHONPATH=str(copy), PYTHONDONTWRITEBYTECODE="1",
+                   HYPOTHESIS_STORAGE_DIRECTORY=str(Path(tmp) / "hypothesis"))
         done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                                "-o", "addopts=", "--hypothesis-profile=mutants", *mutant.tests],
                               cwd=ROOT, env=env, capture_output=True, text=True)

