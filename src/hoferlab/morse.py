@@ -146,20 +146,36 @@ class IndexReport:
 
 
 def _sides(scenario, steps: int) -> dict[str, SymplecticPath]:
-    """Validate ``scenario`` and integrate the identity's two sides on
-    [0, 1]: "max" is the flow of S_max, "min" that of -S_min (the minimizer
-    is a maximizer of -H).  `verify_theorem` and ``hoferlab plot`` both
-    read the sides from here.
+    """Validate ``scenario``, integrate the identity's two sides on [0, 1]
+    and check both for nondegeneracy at t = 1: "max" is the flow of S_max,
+    "min" that of -S_min (the minimizer is a maximizer of -H).
+    `verify_theorem` and ``hoferlab plot`` both read the sides from here.
 
-    Raises ScenarioValidationError for structurally invalid scenarios.
+    When -S_min has the kind, ``n_cos``, stack shape and stack bytes of
+    S_max, "min" is the "max" path itself, integrated once.  Those bytes
+    are enough: a generator is a function of (kind, stack, n_cos), and
+    `HessianPath.negated` gives the values, nodes, bounds and tag of the
+    generator rebuilt from the negated stack bit for bit, so both flows
+    would be the same nodes.  Object identity is no key, since a freed
+    generator's id can be reused by a different one.
+
+    Raises ScenarioValidationError for structurally invalid scenarios and
+    DegenerateEndpointError when either side's time-1 flow has eigenvalue 1.
     """
     from .models import validate_ustilovsky
 
     violations = validate_ustilovsky(scenario)
     if violations:
         raise ScenarioValidationError(violations)
-    return {side: integrate(gen, 0.0, 1.0, steps)
-            for side, gen in (("max", scenario.S_max), ("min", scenario.S_min.negated()))}
+    s_max, s_min = scenario.S_max, scenario.S_min.negated()
+    key_max, key_min = ((g.kind, g.n_cos, g.stack.shape, g.stack.tobytes()) for g in (s_max, s_min))
+    path_max = integrate(s_max, 0.0, 1.0, steps)
+    path_min = path_max if key_min == key_max else integrate(s_min, 0.0, 1.0, steps)
+    sides = {"max": path_max, "min": path_min}
+    for side, p in sides.items():
+        if not check_nondegenerate(p):
+            raise DegenerateEndpointError(f"degenerate at t=1 ({side} side)")
+    return sides
 
 
 def verify_theorem(scenario, steps: int | None = None, epsilon: float | None = None) -> IndexReport:
@@ -176,19 +192,21 @@ def verify_theorem(scenario, steps: int | None = None, epsilon: float | None = N
     DegenerateEndpointError when either side's time-1 flow has eigenvalue 1.
     """
     sides = _sides(scenario, DEFAULT_STEPS if steps is None else steps)
-    for side, p in sides.items():
-        if not check_nondegenerate(p):
-            raise DegenerateEndpointError(f"degenerate at t=1 ({side} side)")
     path_max, path_min = sides["max"], sides["min"]
 
-    # One scan per side feeds the Morse counts and epsilon; the CZ values
+    # One scan per path feeds the Morse counts and epsilon; the CZ values
     # are read from the maximizer's graph-phase lift, which locates no
-    # crossing.  Each path is lifted once, on [0, 1].
+    # crossing.  Each path is lifted once, on [0, 1].  A side that shares
+    # the maximizer's path shares its crossings, filtered as
+    # `find_crossings` filters them.
     window = phase_window(path_max, 0.0, 1.0)
     crossings_max = [c for c in _scan_closed(path_max, 0.0, 1.0, window) if c.time > ENDPOINT_TOL]
     morse_plus = _morse_count(crossings_max)
-    crossings_min = find_crossings(path_min, (0.0, 1.0))
-    morse_minus = _morse_count(crossings_min)
+    if path_min is path_max:
+        crossings_min, morse_minus = list(crossings_max), morse_plus
+    else:
+        crossings_min = find_crossings(path_min, (0.0, 1.0))
+        morse_minus = _morse_count(crossings_min)
 
     if epsilon is None:
         eps = _epsilon(crossings_max)

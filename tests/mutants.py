@@ -11,7 +11,7 @@ exits 1 when a mutant survives.  The tests run under the ``mutants``
 hypothesis profile (`tests/conftest.py`), which reports a failing example
 without shrinking it, and with hypothesis's storage directory in the
 temporary directory, so a run writes nothing into the checkout.  It is not
-part of Tier-1: a run takes about two minutes on two cores.
+part of Tier-1: a run takes about three minutes on two cores.
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ class Mutant(NamedTuple):
 
 _KERNEL_TESTS = ("tests/test_crossings.py",)
 _FLOW_TESTS = ("tests/test_flows.py",)
+_SIDE_TESTS = ("tests/test_golden.py",
+               "tests/test_morse.py::test_unequal_fourier_sides_match_cayley_index",
+               "tests/test_morse.py::test_sides_share_a_path_exactly_when_the_bytes_agree")
 
 MUTANTS = (
     # The kernel rule sigma(Psi - I) < KERNEL_RATIO ||Psi||_2 (`crossings._kernels`).
@@ -86,10 +89,15 @@ MUTANTS = (
     Mutant("expm_shortcut_bound_from_first_matrix", "symplectic.py",
            "np.abs(x).max(axis=0", "np.abs(x[:1]).max(axis=0", ("tests/test_symplectic.py",)),
     # `morse._sides` integrates S_max for the minimizer side, in `verify`
-    # and in `plot` alike.
+    # and in `plot` alike; it shares the maximizer's path whatever the
+    # minimizer; or its key reads the kind and n_cos but not the stack.
     Mutant("minimizer_side_integrates_s_max", "morse.py",
-           '("min", scenario.S_min.negated())', '("min", scenario.S_max)',
-           ("tests/test_golden.py",)),
+           "else integrate(s_min,", "else integrate(s_max,", _SIDE_TESTS),
+    Mutant("sides_always_shared", "morse.py",
+           "path_max if key_min == key_max else", "path_max if True else", _SIDE_TESTS),
+    Mutant("share_key_ignores_stack_bytes", "morse.py",
+           "(g.kind, g.n_cos, g.stack.shape, g.stack.tobytes())", "(g.kind, g.n_cos)",
+           _SIDE_TESTS),
 )
 
 

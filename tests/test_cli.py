@@ -404,6 +404,16 @@ def test_plot_no_markers_without_crossings(tmp_path):
     assert "mult=" not in out.read_text()
 
 
+def test_plot_degenerate_exit(tmp_path, capsys):
+    # `plot` checks both sides for nondegeneracy as `verify` does, and
+    # draws nothing for a file that `verify` rejects.
+    scn = write_scenario(tmp_path, parameters={"lambda": TWO_PI})
+    out = tmp_path / "plot.svg"
+    assert main(["plot", str(scn), "-o", str(out)]) == EXIT_DEGENERATE
+    assert "degenerate at t=1 (max side)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_plot_deterministic_bytes(tmp_path):
     scn = write_scenario(tmp_path, parameters={"lambda": 13.0})
     out1 = tmp_path / "p1.svg"

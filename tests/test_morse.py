@@ -23,6 +23,7 @@ from hoferlab import (
 )
 from tests.oracles import (
     TWO_PI,
+    cayley_index,
     constant_planar,
     direct_sum,
     full_turns,
@@ -190,15 +191,33 @@ def test_theorem_epsilon_override_and_robustness():
             assert report.verdict and report.cz_at_epsilon.half_units == -2, (lam, frac)
 
 
-def test_theorem_computes_each_stage_once(monkeypatch):
-    # One validation, one nondegeneracy check per side, one scan of [0, 1]
-    # on each side, and one graph-phase lift per path: CZ(eps) and the
-    # index on (eps, 1] are read off the maximizer's lift, which evaluates
-    # Psi(eps) once (counted over the times of every `evaluate` call).
+def _local(s_max, s_min):
+    return quadratic_scenario(s_max, s_min, max_value_curve=lambda t: 1.0,
+                              min_value_curve=lambda t: -1.0, name="local")
+
+
+# A scenario factory, and how many paths its verify integrates and scans:
+# equal sides share one path, unequal sides take one each.
+SIDES = {
+    "equal": (lambda: sphere_height_scenario(13.0), 1),
+    # Germs -9 I and +13 I: the sides turn at speeds 9 and 13.
+    "unequal": (lambda: _local(HessianPath.constant(-9.0 * np.eye(2)),
+                               HessianPath.constant(13.0 * np.eye(2))), 2),
+}
+
+
+@pytest.mark.parametrize("sides", sorted(SIDES))
+def test_theorem_computes_each_stage_once(monkeypatch, sides):
+    # One validation, one nondegeneracy check per side, one integration,
+    # one scan of [0, 1] and one graph-phase lift per distinct path: CZ(eps)
+    # and the index on (eps, 1] are read off the maximizer's lift, which
+    # evaluates Psi(eps) once (counted over the times of every `evaluate`
+    # call).
     import hoferlab.crossings
     import hoferlab.models
     import hoferlab.morse
 
+    build, paths = SIDES[sides]
     calls = []
 
     def counted(module, name):
@@ -213,29 +232,34 @@ def test_theorem_computes_each_stage_once(monkeypatch):
 
         return wrapper
 
+    scenario = build()
     for module, name in ((hoferlab.models, "validate_ustilovsky"),
                          (hoferlab.morse, "check_nondegenerate"),
+                         (hoferlab.morse, "integrate"),
                          (hoferlab.crossings, "_scan_closed"),
                          (hoferlab.morse, "_scan_closed"),
                          (hoferlab.crossings, "phase_window"),
                          (hoferlab.morse, "phase_window"),
                          (hoferlab.crossings, "evaluate")):
         monkeypatch.setattr(module, name, counted(module, name))
-    report = verify_theorem(sphere_height_scenario(13.0), steps=512)
+    report = verify_theorem(scenario, steps=512)
     assert calls.count("validate_ustilovsky") == 1
     assert calls.count("check_nondegenerate") == 2
-    assert calls.count("_scan_closed") == 2
-    assert calls.count("phase_window") == 2
+    assert calls.count("integrate") == paths
+    assert calls.count("_scan_closed") == paths
+    assert calls.count("phase_window") == paths
     assert calls.count(("evaluate", report.epsilon)) == 1
 
 
-def test_theorem_decomposes_each_matrix_once(monkeypatch):
+@pytest.mark.parametrize("sides, budget", [("equal", 6), ("unequal", 11)],
+                         ids=["equal", "unequal"])
+def test_theorem_decomposes_each_matrix_once(monkeypatch, sides, budget):
     # One kernel rule for the scan and the index: sigma(Psi - I) and
     # ||Psi||_2 of a stack come from one SVD call (`crossings._kernels`,
     # and `SymplecticPath` for Psi(1), whose norm `check_nondegenerate`
     # reads), and the window end Psi(1) is decomposed once per scan.  An
     # ord-2 norm is a further SVD, so both are counted; none is left.
-    scenario = sphere_height_scenario(7.0)
+    scenario = sphere_height_scenario(7.0) if sides == "equal" else SIDES[sides][0]()
     calls = []
     svd, norm = np.linalg.svd, np.linalg.norm
 
@@ -251,8 +275,75 @@ def test_theorem_decomposes_each_matrix_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(np.linalg, "norm", counted_norm)
     verify_theorem(scenario, steps=512)
-    assert len(calls) <= 11, calls
+    assert len(calls) <= budget, calls
     assert not [call for call in calls if call[0] == "norm"], calls
+
+
+def _cayley_morse(path) -> int:
+    """The Morse count of a negative definite generator's path from
+    `oracles.cayley_index` alone, summed over one window per run of nodes
+    clear of eigenvalue -1 (where the Cayley form is continuous).  Every
+    crossing of such a path has signature -multiplicity, so the count is
+    minus half the summed half-units; a crossing outside every run goes
+    uncounted and fails the comparison."""
+    eye = np.eye(path.dim)
+    clear = [np.linalg.svd(m + eye, compute_uv=False)[-1] >= 0.05 * np.linalg.norm(m, 2)
+             for m in path.matrices]
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], np.array(clear, int), [0]))))
+    halves = sum(cayley_index(path, (float(path.times[lo]), float(path.times[hi - 1]))).half_units
+                 for lo, hi in zip(edges[::2], edges[1::2]) if hi - lo >= 2)
+    return -halves // 2
+
+
+def _count_integrations(monkeypatch) -> list:
+    import hoferlab.morse
+
+    calls, original = [], hoferlab.morse.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hoferlab.morse, "integrate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_unequal_fourier_sides_match_cayley_index(dim, rng, monkeypatch):
+    # A random definite Fourier maximizer and a different Fourier
+    # minimizer: each side's index is that of its own path, whose
+    # generators share kind, n_cos and stack shape.
+    gen_max, _ = random_nondegenerate_negdef(dim, rng, steps=384)
+    gen_other, _ = random_nondegenerate_negdef(dim, rng, steps=384)
+    s_min = gen_other.negated()
+    calls = _count_integrations(monkeypatch)
+    report = verify_theorem(_local(gen_max, s_min), steps=384)
+    assert len(calls) == 2 and report.verdict
+    assert report.morse_index_plus == _cayley_morse(integrate(gen_max, 0.0, 1.0, 384))
+    assert report.morse_index_minus == _cayley_morse(integrate(gen_other, 0.0, 1.0, 384))
+    # These draws turn the sides differently, so a shared path would show.
+    assert report.morse_index_plus != report.morse_index_minus
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_sides_share_a_path_exactly_when_the_bytes_agree(dim, rng, monkeypatch):
+    gen, _ = random_nondegenerate_negdef(dim, rng, steps=384)
+    # -S_min one ulp off S_max in one symmetric entry, and -S_min equal to
+    # S_max through a generator built afresh from the negated stack.
+    moved = -gen.stack
+    moved[0, 0, 0] = np.nextafter(moved[0, 0, 0], np.inf)
+    off_by_ulp = HessianPath(gen.kind, moved, gen.n_cos)
+    fresh = HessianPath(gen.kind, -gen.stack, gen.n_cos)
+    expected = (morse_index(gen, steps=384), morse_index(off_by_ulp.negated(), steps=384))
+    calls = _count_integrations(monkeypatch)
+
+    shared = verify_theorem(_local(gen, gen.negated()), steps=384)
+    assert len(calls) == 1
+    assert verify_theorem(_local(gen, fresh), steps=384).to_dict() == shared.to_dict()
+    assert len(calls) == 2
+    report = verify_theorem(_local(gen, off_by_ulp), steps=384)
+    assert len(calls) == 4
+    assert (report.morse_index_plus, report.morse_index_minus) == expected
 
 
 def test_theorem_rejects_inadmissible_epsilon():
